@@ -38,8 +38,9 @@ profile:
 micro:
 	$(GO) test -run xxx -bench 'BenchmarkPredict$$|BenchmarkPredictUpdate|BenchmarkOnCond' -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkFolded|BenchmarkFoldFromScratch' -benchmem ./internal/history/
+	$(GO) test -run xxx -bench 'BenchmarkHashedPerceptron' -benchmem ./internal/cond/
 	$(GO) test -run xxx -bench 'BenchmarkServing|BenchmarkPoolDrain' -benchmem ./internal/batch/
-	$(GO) test -run xxx -bench 'BenchmarkSimRun' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkSimRun|BenchmarkVPC' -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkDrawCDF' -benchmem ./internal/workload/
 	$(GO) test -run xxx -bench 'Throughput|EndToEnd' -benchmem .
 

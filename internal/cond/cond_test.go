@@ -216,6 +216,17 @@ func TestConfigValidation(t *testing.T) {
 		{},
 		func() HPConfig { c := DefaultHPConfig(); c.TableEntries = 0; return c }(),
 		func() HPConfig { c := DefaultHPConfig(); c.WeightBits = 1; return c }(),
+		// Weights are int8: a wider WeightBits would wrap the clamp bounds.
+		func() HPConfig { c := DefaultHPConfig(); c.WeightBits = 9; return c }(),
+		func() HPConfig { c := DefaultHPConfig(); c.WeightBits = 16; return c }(),
+		func() HPConfig { c := DefaultHPConfig(); c.LocalEntries = 0; return c }(),
+		func() HPConfig { c := DefaultHPConfig(); c.PathDepth = 0; return c }(),
+		func() HPConfig {
+			c := DefaultHPConfig()
+			c.HistBits = 0
+			c.Features = []Feature{{Kind: FeatureBias}}
+			return c
+		}(),
 		func() HPConfig { c := DefaultHPConfig(); c.Features = nil; return c }(),
 		func() HPConfig {
 			c := DefaultHPConfig()
@@ -228,7 +239,13 @@ func TestConfigValidation(t *testing.T) {
 			return c
 		}(),
 	}
+	if err := DefaultHPConfig().Validate(); err != nil {
+		t.Errorf("default config rejected: %v", err)
+	}
 	for i, cfg := range bad {
+		if cfg.Validate() == nil {
+			t.Errorf("config %d: Validate accepted it", i)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {

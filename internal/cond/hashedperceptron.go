@@ -85,15 +85,32 @@ func DefaultHPConfig() HPConfig {
 	}
 }
 
-func (c HPConfig) validate() error {
+// Validate reports the first constraint cfg breaks, naming the field; a
+// nil error means NewHashedPerceptron accepts it.
+func (c HPConfig) Validate() error {
 	if c.TableEntries <= 0 {
-		return fmt.Errorf("cond: TableEntries must be positive")
+		return fmt.Errorf("cond: TableEntries %d must be positive", c.TableEntries)
 	}
-	if c.WeightBits < 2 || c.WeightBits > 16 {
-		return fmt.Errorf("cond: WeightBits out of range")
+	if c.WeightBits < 2 || c.WeightBits > 8 {
+		return fmt.Errorf("cond: WeightBits %d outside [2,8] (weights are int8)", c.WeightBits)
 	}
 	if len(c.Features) == 0 {
 		return fmt.Errorf("cond: no features")
+	}
+	if c.HistBits <= 0 {
+		return fmt.Errorf("cond: HistBits %d must be positive", c.HistBits)
+	}
+	if c.LocalEntries <= 0 {
+		return fmt.Errorf("cond: LocalEntries %d must be positive", c.LocalEntries)
+	}
+	if c.LocalBits <= 0 || c.LocalBits > 63 {
+		return fmt.Errorf("cond: LocalBits %d outside [1,63]", c.LocalBits)
+	}
+	if c.PathDepth <= 0 {
+		return fmt.Errorf("cond: PathDepth %d must be positive", c.PathDepth)
+	}
+	if c.ThetaInit < thetaMin || c.ThetaInit > thetaMax {
+		return fmt.Errorf("cond: ThetaInit %d outside [%d,%d]", c.ThetaInit, thetaMin, thetaMax)
 	}
 	for i, f := range c.Features {
 		switch f.Kind {
@@ -113,117 +130,221 @@ func (c HPConfig) validate() error {
 	return nil
 }
 
+// Adaptive-threshold bounds of the hashed perceptron.
+const (
+	thetaMin = 1
+	thetaMax = 1024
+)
+
+// hpRow is one feature's index function, grouped by kind in
+// HashedPerceptron.rows so the sum kernel runs one loop per kind.
+type hpRow struct {
+	salt uint64 // the feature's position in HPConfig.Features, at bit 56
+	base int    // offset of the feature's weight table in HashedPerceptron.table
+	arg  int    // FoldID (global) or Path.Register position (path)
+}
+
 // HashedPerceptron is a Tarjan & Skadron-style hashed perceptron predictor
 // over a configurable feature set. It also exposes the speculation hooks
-// (SpecShift, HistSnapshot/HistRestore) that the VPC predictor needs to walk
-// virtual PCs.
+// (SpecShift, HistSnapshot/HistRestore) and the row-reuse pair
+// (PredictRows/TrainRows) that the VPC predictor needs to walk virtual PCs.
 type HashedPerceptron struct {
-	cfg      HPConfig
-	weights  [][]int8 // one table per feature
+	cfg     HPConfig
+	table   []int8   // len(Features) × TableEntries weights, feature-major
+	weights [][]int8 // weights[fi] views feature fi's table within table
+	// rows lists the features by kind: bias, global, path, then local.
+	// Bias and global rows depend only on the PC and global history;
+	// path and local rows also move with path and local history.
+	rows     []hpRow
+	biasEnd  int // rows[:biasEnd] are the bias rows
+	histEnd  int // rows[biasEnd:histEnd] are the global rows
+	pathEnd  int // rows[histEnd:pathEnd] are the path rows
 	ghist    *history.FoldedSet
-	featFold []history.FoldID // registered fold per FeatureGlobal feature (else -1)
+	folds    []uint64 // fold values, read once per sum
 	local    *history.Local
+	localPC  uint64 // the PC whose local register is localReg
+	localReg int
 	path     *history.Path
 	theta    *threshold.Adaptive
 	wMin     int8
 	wMax     int8
 
-	scratch []int // per-feature indices, reused between Predict and Train
+	idx     []int // weight rows of the last sum, in rows order
 	lastPC  uint64
-	lastOK  bool
+	lastSum int
+	lastOK  bool   // idx and lastSum describe lastPC under current state
+	gen     uint64 // history generation (see HistGen)
 }
 
 // NewHashedPerceptron constructs a predictor; it panics on an invalid
-// configuration (configurations are build-time constants in this codebase).
+// configuration (see HPConfig.Validate).
 func NewHashedPerceptron(cfg HPConfig) *HashedPerceptron {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	w := make([][]int8, len(cfg.Features))
-	for i := range w {
-		w[i] = make([]int8, cfg.TableEntries)
+	n := cfg.TableEntries
+	table := make([]int8, len(cfg.Features)*n)
+	weights := make([][]int8, len(cfg.Features))
+	for fi := range weights {
+		weights[fi] = table[fi*n : (fi+1)*n : (fi+1)*n]
 	}
-	maxW := int8(1<<uint(cfg.WeightBits-1) - 1)
-	ghist := history.NewFoldedSet(cfg.HistBits)
-	featFold := make([]history.FoldID, len(cfg.Features))
-	for i, f := range cfg.Features {
-		featFold[i] = -1
-		if f.Kind == FeatureGlobal {
-			featFold[i] = ghist.Register(f.Lo, f.Hi, 22)
+	h := &HashedPerceptron{
+		cfg:     cfg,
+		table:   table,
+		weights: weights,
+		ghist:   history.NewFoldedSet(cfg.HistBits),
+		local:   history.NewLocal(cfg.LocalEntries, cfg.LocalBits),
+		path:    history.NewPath(cfg.PathDepth),
+		theta:   threshold.New(cfg.ThetaInit, 16, thetaMin, thetaMax),
+		idx:     make([]int, len(cfg.Features)),
+	}
+	for _, kind := range []FeatureKind{FeatureBias, FeatureGlobal, FeaturePath, FeatureLocal} {
+		for fi, f := range cfg.Features {
+			if f.Kind != kind {
+				continue
+			}
+			r := hpRow{salt: uint64(fi) << 56, base: fi * n}
+			switch kind {
+			case FeatureGlobal:
+				r.arg = int(h.ghist.Register(f.Lo, f.Hi, 22))
+			case FeaturePath:
+				r.arg = h.path.Register(f.Depth)
+			}
+			h.rows = append(h.rows, r)
+		}
+		switch kind {
+		case FeatureBias:
+			h.biasEnd = len(h.rows)
+		case FeatureGlobal:
+			h.histEnd = len(h.rows)
+		case FeaturePath:
+			h.pathEnd = len(h.rows)
 		}
 	}
-	return &HashedPerceptron{
-		cfg:      cfg,
-		weights:  w,
-		ghist:    ghist,
-		featFold: featFold,
-		local:    history.NewLocal(cfg.LocalEntries, cfg.LocalBits),
-		path:     history.NewPath(cfg.PathDepth),
-		theta:    threshold.New(cfg.ThetaInit, 16, 1, 1024),
-		wMin:     -maxW - 1,
-		wMax:     maxW,
-		scratch:  make([]int, len(cfg.Features)),
-	}
+	h.folds = make([]uint64, h.ghist.NumFolds())
+	h.localReg = h.local.Index(h.localPC)
+	maxW := int8(1<<uint(cfg.WeightBits-1) - 1)
+	h.wMin, h.wMax = -maxW-1, maxW
+	return h
 }
 
 // Name implements Predictor.
 func (h *HashedPerceptron) Name() string { return "hashed-perceptron" }
 
-// featureIndex computes the weight row for feature f at pc.
-func (h *HashedPerceptron) featureIndex(fi int, pc uint64) int {
-	f := h.cfg.Features[fi]
-	pcH := hashing.Mix64(pc + uint64(fi)<<56)
-	var mix uint64
-	switch f.Kind {
-	case FeatureBias:
-		mix = pcH
-	case FeatureGlobal:
-		fold := h.ghist.Value(h.featFold[fi])
-		mix = hashing.Combine(pcH, fold)
-	case FeaturePath:
-		mix = hashing.Combine(pcH, h.path.Hash(f.Depth))
-	case FeatureLocal:
-		mix = hashing.Combine(pcH, h.local.Get(pc))
+// histRows computes pc's bias and global rows into idx.
+//
+//blbp:hot
+func (h *HashedPerceptron) histRows(pc uint64) {
+	n := h.cfg.TableEntries
+	rows := h.rows[:h.histEnd]
+	idx := h.idx[:len(rows)]
+	for i := 0; i < h.biasEnd; i++ {
+		idx[i] = hashing.Index(hashing.Mix64(pc+rows[i].salt), n)
 	}
-	return hashing.Index(mix, h.cfg.TableEntries)
+	h.ghist.Values(h.folds)
+	for i := h.biasEnd; i < len(rows); i++ {
+		r := &rows[i]
+		idx[i] = hashing.Index(hashing.Combine(hashing.Mix64(pc+r.salt), h.folds[r.arg]), n)
+	}
 }
 
-// sum computes the perceptron output for pc, filling h.scratch with the
-// per-feature row indices used.
-func (h *HashedPerceptron) sum(pc uint64) int {
+// moveRows computes pc's path and local rows into idx.
+//
+//blbp:hot
+func (h *HashedPerceptron) moveRows(pc uint64) {
+	n := h.cfg.TableEntries
+	rows := h.rows
+	idx := h.idx[:len(rows)]
+	ph := h.path.Hashes()
+	for i := h.histEnd; i < h.pathEnd; i++ {
+		r := &rows[i]
+		idx[i] = hashing.Index(hashing.Combine(hashing.Mix64(pc+r.salt), ph[r.arg]), n)
+	}
+	if h.pathEnd == len(rows) {
+		return
+	}
+	if pc != h.localPC {
+		h.localPC, h.localReg = pc, h.local.Index(pc)
+	}
+	lv := h.local.Reg(h.localReg)
+	for i := h.pathEnd; i < len(rows); i++ {
+		idx[i] = hashing.Index(hashing.Combine(hashing.Mix64(pc+rows[i].salt), lv), n)
+	}
+}
+
+// weightSum returns the perceptron output over the rows in idx.
+//
+//blbp:hot
+func (h *HashedPerceptron) weightSum() int {
 	total := 0
-	for fi := range h.cfg.Features {
-		idx := h.featureIndex(fi, pc)
-		h.scratch[fi] = idx
-		total += int(h.weights[fi][idx])
+	for i, ix := range h.idx {
+		total += int(h.table[h.rows[i].base+ix])
 	}
 	return total
 }
 
 // Predict implements Predictor.
+//
+//blbp:hot
 func (h *HashedPerceptron) Predict(pc uint64) bool {
-	s := h.sum(pc)
-	h.lastPC, h.lastOK = pc, true
-	return s >= 0
+	h.histRows(pc)
+	h.moveRows(pc)
+	h.lastPC, h.lastSum, h.lastOK = pc, h.weightSum(), true
+	return h.lastSum >= 0
 }
 
 // Train implements Predictor. It must be called with history in the same
 // state as the matching Predict (the engine trains before updating
-// histories).
+// histories); it then reuses Predict's rows and sum.
+//
+//blbp:hot
 func (h *HashedPerceptron) Train(pc uint64, taken bool) {
-	var s int
-	if h.lastOK && h.lastPC == pc {
-		// Reuse the indices captured by Predict; recompute the sum from
-		// them (cheap) to apply threshold logic.
-		s = 0
-		for fi, idx := range h.scratch {
-			s += int(h.weights[fi][idx])
-		}
-	} else {
-		s = h.sum(pc)
+	if !h.lastOK || h.lastPC != pc {
+		h.Predict(pc)
 	}
-	predicted := s >= 0
-	mispredicted := predicted != taken
+	h.train(taken)
+}
+
+// RowCount is the length of the row buffers PredictRows and TrainRows
+// exchange.
+func (h *HashedPerceptron) RowCount() int { return len(h.rows) }
+
+// PredictRows is Predict that also copies the weight rows it read into
+// rows (RowCount entries), for a later TrainRows at the same PC.
+//
+//blbp:hot
+func (h *HashedPerceptron) PredictRows(pc uint64, rows []int) bool {
+	taken := h.Predict(pc)
+	copy(rows, h.idx)
+	return taken
+}
+
+// TrainRows is Train at pc with the rows PredictRows captured at pc. The
+// global history must be what it was at the capture: bias and global rows
+// are taken from rows. Path and local rows are taken from rows too when
+// samePathLocal is set (no history of any kind has moved since the
+// capture), and recomputed otherwise. The sum is always re-read from the
+// current weights.
+//
+//blbp:hot
+func (h *HashedPerceptron) TrainRows(pc uint64, taken bool, rows []int, samePathLocal bool) {
+	if samePathLocal {
+		copy(h.idx, rows)
+	} else {
+		copy(h.idx[:h.histEnd], rows)
+		h.moveRows(pc)
+	}
+	h.lastPC, h.lastSum, h.lastOK = pc, h.weightSum(), true
+	h.train(taken)
+}
+
+// train applies the threshold rule to the sum and rows of the last
+// prediction, stepping every row's weight toward the outcome.
+//
+//blbp:hot
+func (h *HashedPerceptron) train(taken bool) {
+	s := h.lastSum
+	mispredicted := (s >= 0) != taken
 	a := s
 	if a < 0 {
 		a = -a
@@ -233,15 +354,16 @@ func (h *HashedPerceptron) Train(pc uint64, taken bool) {
 	if !mispredicted && !lowConfidence {
 		return
 	}
-	for fi, idx := range h.scratch {
-		w := h.weights[fi][idx]
+	for i, ix := range h.idx {
+		j := h.rows[i].base + ix
+		w := h.table[j]
 		if taken {
 			if w < h.wMax {
-				h.weights[fi][idx] = w + 1
+				h.table[j] = w + 1
 			}
 		} else {
 			if w > h.wMin {
-				h.weights[fi][idx] = w - 1
+				h.table[j] = w - 1
 			}
 		}
 	}
@@ -249,11 +371,17 @@ func (h *HashedPerceptron) Train(pc uint64, taken bool) {
 }
 
 // UpdateHistory implements Predictor.
+//
+//blbp:hot
 func (h *HashedPerceptron) UpdateHistory(pc uint64, taken bool) {
 	h.ghist.Shift(taken)
 	h.path.Push(pc)
-	h.local.Update(pc, taken)
+	if pc != h.localPC {
+		h.localPC, h.localReg = pc, h.local.Index(pc)
+	}
+	h.local.UpdateAt(h.localReg, taken)
 	h.lastOK = false
+	h.gen++
 }
 
 // OnOther implements Predictor: unconditional transfers contribute path
@@ -267,6 +395,7 @@ func (h *HashedPerceptron) OnOther(pc, target uint64, bt trace.BranchType) {
 		h.ghist.ShiftBits(hashing.Mix64(target), 2)
 	}
 	h.lastOK = false
+	h.gen++
 }
 
 // SpecShift speculatively shifts one outcome bit into global history. VPC
@@ -274,7 +403,13 @@ func (h *HashedPerceptron) OnOther(pc, target uint64, bt trace.BranchType) {
 func (h *HashedPerceptron) SpecShift(taken bool) {
 	h.ghist.Shift(taken)
 	h.lastOK = false
+	h.gen++
 }
+
+// HistGen returns the history generation: a counter that advances
+// whenever global, path or local history may have moved. Equal values
+// bracket a span in which rows captured by PredictRows stay valid.
+func (h *HashedPerceptron) HistGen() uint64 { return h.gen }
 
 // HistSnapshot captures global-history state (including the incrementally
 // maintained folds) for later rollback.
@@ -291,6 +426,7 @@ func (h *HashedPerceptron) HistSnapshotInto(dst *history.FoldedSnapshot) {
 func (h *HashedPerceptron) HistRestore(s *history.FoldedSnapshot) {
 	h.ghist.Restore(s)
 	h.lastOK = false
+	h.gen++
 }
 
 // Theta exposes the current adaptive threshold (for tests and diagnostics).

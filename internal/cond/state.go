@@ -262,5 +262,6 @@ func (h *HashedPerceptron) RestoreState(r io.Reader) error {
 		copy(h.weights[fi], weights[fi])
 	}
 	h.lastPC, h.lastOK = 0, false
+	h.gen++
 	return nil
 }

@@ -1,6 +1,8 @@
 package cond
 
 import (
+	"fmt"
+
 	"blbp/internal/hashing"
 	"blbp/internal/history"
 	"blbp/internal/threshold"
@@ -78,17 +80,28 @@ type TAGE struct {
 	rng     uint64
 }
 
-// NewTAGE constructs a conditional TAGE predictor; it panics on invalid
-// configuration.
-func NewTAGE(cfg TAGEConfig) *TAGE {
+// Validate reports the first constraint cfg breaks; a nil error means
+// NewTAGE accepts it.
+func (cfg TAGEConfig) Validate() error {
 	if cfg.BaseEntries <= 0 || cfg.Tables <= 0 || cfg.TableEntries <= 0 {
-		panic("cond: TAGE geometry must be positive")
+		return fmt.Errorf("cond: TAGE geometry (BaseEntries %d, Tables %d, TableEntries %d) must be positive",
+			cfg.BaseEntries, cfg.Tables, cfg.TableEntries)
 	}
 	if cfg.MinHist <= 0 || cfg.MaxHist <= cfg.MinHist || cfg.MaxHist >= cfg.HistBits {
-		panic("cond: TAGE history lengths inconsistent")
+		return fmt.Errorf("cond: TAGE history lengths inconsistent (need 0 < MinHist %d < MaxHist %d < HistBits %d)",
+			cfg.MinHist, cfg.MaxHist, cfg.HistBits)
 	}
 	if cfg.ResetPeriod <= 0 {
-		panic("cond: TAGE ResetPeriod must be positive")
+		return fmt.Errorf("cond: TAGE ResetPeriod %d must be positive", cfg.ResetPeriod)
+	}
+	return nil
+}
+
+// NewTAGE constructs a conditional TAGE predictor; it panics on an invalid
+// configuration (see TAGEConfig.Validate).
+func NewTAGE(cfg TAGEConfig) *TAGE {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	lens := make([]int, cfg.Tables)
 	ratio := 1.0

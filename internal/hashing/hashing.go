@@ -22,8 +22,10 @@ func Combine(a, b uint64) uint64 {
 }
 
 // Index reduces a hash to a table index in [0, size). size must be > 0.
-// Power-of-two sizes use masking; others use a multiply-shift reduction to
-// avoid modulo bias on small tables.
+// Power-of-two sizes keep the low bits of h (a mask). Other sizes re-mix h
+// with Mix64 and take the remainder modulo size; the re-mix spreads inputs
+// whose low bits are structured, and the modulo bias, below size/2^64, is
+// negligible.
 func Index(h uint64, size int) int {
 	if size <= 0 {
 		panic("hashing: Index with non-positive size")
@@ -32,9 +34,7 @@ func Index(h uint64, size int) int {
 	if u&(u-1) == 0 {
 		return int(h & (u - 1))
 	}
-	// Fibonacci-style reduction: take the high bits of h*phi and scale.
-	h = Mix64(h)
-	return int((h % u))
+	return int(Mix64(h) % u)
 }
 
 // Tag extracts a partial tag of the given bit width from a hash, avoiding

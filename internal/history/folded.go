@@ -125,6 +125,21 @@ func (s *FoldedSet) Value(id FoldID) uint64 {
 	return foldDown(s.accs[f.accIdx].acc, f.width)
 }
 
+// Values writes every registered fold's current value into dst, indexed by
+// FoldID, after a single catch-up: the batched form of Value for predictors
+// that read all their folds per prediction. dst must hold NumFolds values.
+//
+//blbp:hot
+func (s *FoldedSet) Values(dst []uint64) {
+	if s.pending != 0 {
+		s.catchUp()
+	}
+	dst = dst[:len(s.folds)]
+	for i, f := range s.folds {
+		dst[i] = foldDown(s.accs[f.accIdx].acc, f.width)
+	}
+}
+
 // catchUp applies the pending raw-register shifts to every interval
 // accumulator in one step each. With P pending bits, the bits that entered
 // interval position lo over the run now sit at raw indices [lo, lo+P) and

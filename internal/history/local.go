@@ -12,9 +12,9 @@ type Local struct {
 	bits    int
 }
 
-// NewLocal returns a local-history table with the given number of registers
-// (rounded up to a power of two is NOT applied; pass a power of two for
-// mask-free indexing cost to be irrelevant) each holding bits history bits.
+// NewLocal returns a local-history table of entries registers, each holding
+// bits history bits. entries is used as given, not rounded up to a power of
+// two; hashing.Index reduces the PC hash to a register for any size.
 func NewLocal(entries, bits int) *Local {
 	if entries <= 0 {
 		panic("history: NewLocal with non-positive entries")
@@ -30,16 +30,20 @@ func NewLocal(entries, bits int) *Local {
 	}
 }
 
-func (l *Local) index(pc uint64) int {
+// Index returns the register pc maps to. Callers that read and then update
+// one branch's register compute it once and use Reg and UpdateAt.
+func (l *Local) Index(pc uint64) int {
 	return hashing.Index(hashing.Mix64(pc), l.entries)
 }
 
 // Get returns the history register associated with pc.
-func (l *Local) Get(pc uint64) uint64 { return l.regs[l.index(pc)] }
+func (l *Local) Get(pc uint64) uint64 { return l.regs[l.Index(pc)] }
 
 // Update shifts outcome bit b into pc's history register.
-func (l *Local) Update(pc uint64, b bool) {
-	i := l.index(pc)
+func (l *Local) Update(pc uint64, b bool) { l.UpdateAt(l.Index(pc), b) }
+
+// UpdateAt shifts outcome bit b into register i.
+func (l *Local) UpdateAt(i int, b bool) {
 	v := l.regs[i] << 1
 	if b {
 		v |= 1

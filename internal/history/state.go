@@ -79,30 +79,50 @@ func (l *Local) RestoreState(d *snapshot.Dec) error {
 	return nil
 }
 
-// EncodeState serializes the path history.
+// EncodeState serializes the path history in its ring form: element i
+// (0 = newest) at ring position head+i, wrapping at the depth.
 func (p *Path) EncodeState(e *snapshot.Enc) {
-	e.U16s(p.pcs)
+	pcs := make([]uint16, p.depth)
+	for i := range pcs {
+		pcs[p.ringPos(p.head, i)] = p.elem(i)
+	}
+	e.U16s(pcs)
 	e.Int(p.head)
 	e.Int(p.n)
 }
 
+// ringPos returns the ring position of element i (0 <= i < depth) when the
+// newest element sits at head.
+func (p *Path) ringPos(head, i int) int {
+	if j := head + i; j < p.depth {
+		return j
+	}
+	return head + i - p.depth
+}
+
 // RestoreState reinstates a path history of the same depth.
 func (p *Path) RestoreState(d *snapshot.Dec) error {
-	saved := make([]uint16, len(p.pcs))
+	saved := make([]uint16, p.depth)
 	d.U16sInto(saved)
 	head := d.Int()
 	n := d.Int()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if head < 0 || head >= len(p.pcs) {
-		return fmt.Errorf("%w: path head %d outside depth %d", snapshot.ErrCorrupt, head, len(p.pcs))
+	if head < 0 || head >= p.depth {
+		return fmt.Errorf("%w: path head %d outside depth %d", snapshot.ErrCorrupt, head, p.depth)
 	}
-	if n < 0 || n > len(p.pcs) {
-		return fmt.Errorf("%w: path fill %d outside depth %d", snapshot.ErrCorrupt, n, len(p.pcs))
+	if n < 0 || n > p.depth {
+		return fmt.Errorf("%w: path fill %d outside depth %d", snapshot.ErrCorrupt, n, p.depth)
 	}
-	copy(p.pcs, saved)
+	for j := range p.win {
+		p.win[j] = 0
+	}
+	for i := range saved {
+		p.win[i>>2] |= uint64(saved[p.ringPos(head, i)]) << (16 * uint(i&3))
+	}
 	p.head = head
 	p.n = n
+	p.fresh = false
 	return nil
 }

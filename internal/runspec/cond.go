@@ -17,10 +17,29 @@ type GShareConfig struct {
 	HistBits int
 }
 
+// Validate reports a configuration cond.NewGShare would reject.
+func (c GShareConfig) Validate() error {
+	if c.Entries <= 0 {
+		return fmt.Errorf("cond: gshare Entries %d must be positive", c.Entries)
+	}
+	if c.HistBits <= 0 || c.HistBits > 63 {
+		return fmt.Errorf("cond: gshare HistBits %d outside [1,63]", c.HistBits)
+	}
+	return nil
+}
+
 // BimodalConfig parameterizes the bimodal conditional substrate.
 type BimodalConfig struct {
 	// Entries is the 2-bit counter table size.
 	Entries int
+}
+
+// Validate reports a configuration cond.NewBimodal would reject.
+func (c BimodalConfig) Validate() error {
+	if c.Entries <= 0 {
+		return fmt.Errorf("cond: bimodal Entries %d must be positive", c.Entries)
+	}
+	return nil
 }
 
 // condEntry is one registered conditional predictor substrate.
@@ -37,10 +56,13 @@ type condEntry struct {
 }
 
 // config materializes the substrate's configuration with overrides.
+// MergeJSON runs the config's Validate method, so a bad override is an
+// error here rather than a panic in the substrate's constructor; every
+// registered config type has one.
 func (e condEntry) config(overrides []byte) (any, error) {
 	cfg, err := predictor.MergeJSON(e.def(), overrides)
 	if err != nil {
-		return nil, fmt.Errorf("cond %s config: %v", e.name, err)
+		return nil, fmt.Errorf("cond: %s config: %v", e.name, err)
 	}
 	return cfg, nil
 }
@@ -152,9 +174,6 @@ func init() {
 			if !ok {
 				return nil, fmt.Errorf("runspec: gshare config has type %T", cfg)
 			}
-			if c.Entries <= 0 || c.HistBits < 0 {
-				return nil, fmt.Errorf("runspec: gshare config %+v out of range", c)
-			}
 			return cond.NewGShare(c.Entries, c.HistBits), nil
 		},
 	})
@@ -167,9 +186,6 @@ func init() {
 			c, ok := cfg.(BimodalConfig)
 			if !ok {
 				return nil, fmt.Errorf("runspec: bimodal config has type %T", cfg)
-			}
-			if c.Entries <= 0 {
-				return nil, fmt.Errorf("runspec: bimodal config %+v out of range", c)
 			}
 			return cond.NewBimodal(c.Entries), nil
 		},

@@ -114,6 +114,44 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestCondConfigValidation: a cond_config override the substrate's
+// constructor would reject fails plan validation with an error naming the
+// pass and the field, for every registered substrate, and never panics.
+func TestCondConfigValidation(t *testing.T) {
+	cases := []struct {
+		cond, config, want string
+	}{
+		{"", `{"TableEntries":0}`, "TableEntries"},
+		{"hashed-perceptron", `{"WeightBits":12}`, "WeightBits"},
+		{"hashed-perceptron", `{"Features":[{"Kind":1,"Lo":0,"Hi":5000}]}`, "interval"},
+		{"hashed-perceptron", `{"LocalBits":0}`, "LocalBits"},
+		{"hashed-perceptron", `{"ThetaInit":0}`, "ThetaInit"},
+		{"tage", `{"Tables":0}`, "TAGE geometry"},
+		{"tage", `{"MaxHist":2000}`, "history lengths"},
+		{"gshare", `{"HistBits":0}`, "HistBits"},
+		{"gshare", `{"Entries":-1}`, "Entries"},
+		{"bimodal", `{"Entries":0}`, "Entries"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.cond+tc.config, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			js := `{"name":"x","passes":[{"cond":"` + tc.cond + `","cond_config":` + tc.config +
+				`,"predictors":[{"type":"ittage"}]}],"outputs":[{"table":"mpki"}]}`
+			_, err := Decode([]byte(js))
+			if err == nil {
+				t.Fatalf("plan accepted: %s", js)
+			}
+			if !strings.HasPrefix(err.Error(), "runspec: pass 0: cond: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q: want prefix %q and a mention of %q", err, "runspec: pass 0: cond: ", tc.want)
+			}
+		})
+	}
+}
+
 // FuzzRunPlanDecode: whatever bytes arrive, Decode must never panic, and
 // anything it accepts must be a stable fixed point of Encode/Decode.
 func FuzzRunPlanDecode(f *testing.F) {

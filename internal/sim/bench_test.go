@@ -6,6 +6,9 @@ import (
 	"blbp/internal/cond"
 	"blbp/internal/core"
 	"blbp/internal/predictor"
+	"blbp/internal/vpc"
+	"blbp/internal/workload"
+	"blbp/internal/wspec"
 )
 
 // BenchmarkSimRun drives one full engine pass (hashed perceptron + BLBP)
@@ -41,4 +44,24 @@ func BenchmarkSimRun(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkVPC drives the full engine with VPC over one suite workload:
+// VPC and the engine share one hashed perceptron, so every conditional
+// branch and every virtual-PC walk runs the perceptron kernel. ns/op is
+// per trace record.
+func BenchmarkVPC(b *testing.B) {
+	spec, ok := workload.ByName("400.perlbench-1", wspec.Suite(60000))
+	if !ok {
+		b.Fatal("workload 400.perlbench-1 missing from the suite")
+	}
+	cols := spec.BuildColumns()
+	n := cols.Len()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += n {
+		hp := cond.NewHashedPerceptron(cond.DefaultHPConfig())
+		if _, err := RunColumns(cols, hp, []predictor.Indirect{vpc.New(vpc.DefaultConfig(), hp)}, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

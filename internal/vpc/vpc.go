@@ -42,9 +42,13 @@ type VPC struct {
 	hp  *cond.HashedPerceptron
 	btb *btb.BTB
 
-	// Prediction-time state for Update.
-	lastPC uint64
-	lastOK bool
+	// The walk Predict leaves for Update: the perceptron rows of its
+	// first walkN iterations at walkPC, valid while the perceptron's
+	// history generation is still walkGen.
+	walkPC   uint64
+	walkN    int
+	walkGen  uint64
+	walkRows []int // MaxIter × hp.RowCount()
 
 	scratchVPCA []uint64
 	snapBuf     history.FoldedSnapshot // reused across predictions
@@ -63,6 +67,7 @@ func New(cfg Config, hp *cond.HashedPerceptron) *VPC {
 		cfg:         cfg,
 		hp:          hp,
 		btb:         btb.New(cfg.BTB),
+		walkRows:    make([]int, cfg.MaxIter*hp.RowCount()),
 		scratchVPCA: make([]uint64, 0, cfg.MaxIter),
 	}
 }
@@ -84,10 +89,23 @@ func (v *VPC) vpcAddr(pc uint64, iter int) uint64 {
 // first taken virtual branch with a BTB target wins. Global history is
 // speculatively extended with the virtual not-taken outcomes during the walk
 // and rolled back before returning.
+//
+//blbp:hot
 func (v *VPC) Predict(pc uint64) (uint64, bool) {
-	v.lastPC, v.lastOK = pc, true
 	v.hp.HistSnapshotInto(&v.snapBuf)
-	defer v.hp.HistRestore(&v.snapBuf)
+	target, ok := v.walk(pc)
+	v.hp.HistRestore(&v.snapBuf)
+	v.walkPC, v.walkGen = pc, v.hp.HistGen()
+	return target, ok
+}
+
+// walk is Predict's iteration loop, recording each predicted iteration's
+// perceptron rows in walkRows.
+//
+//blbp:hot
+func (v *VPC) walk(pc uint64) (uint64, bool) {
+	nr := v.hp.RowCount()
+	v.walkN = 0
 	for iter := 1; iter <= v.cfg.MaxIter; iter++ {
 		vpca := v.vpcAddr(pc, iter)
 		target, hit := v.btb.Lookup(vpca)
@@ -95,7 +113,9 @@ func (v *VPC) Predict(pc uint64) (uint64, bool) {
 			// No more stored targets along the virtual chain.
 			return 0, false
 		}
-		if v.hp.Predict(vpca) {
+		rows := v.walkRows[v.walkN*nr : (v.walkN+1)*nr]
+		v.walkN++
+		if v.hp.PredictRows(vpca, rows) {
 			return target, true
 		}
 		v.hp.SpecShift(false)
@@ -109,8 +129,19 @@ func (v *VPC) Predict(pc uint64) (uint64, bool) {
 // virtual outcomes to history (Kim et al.'s update algorithm). If no
 // virtual branch holds the actual target, it is installed at the first free
 // (or final) iteration slot.
+//
+// Committing a not-taken outcome shifts the same bit into global history
+// that Predict's walk shifted speculatively, so iteration k here sees
+// iteration k's global history there. When nothing has touched the
+// perceptron's history since Predict at the same PC, Update reuses that
+// walk's bias and global rows and recomputes only the path and local rows,
+// which the committed outcomes move; iteration 1 reuses every row.
 func (v *VPC) Update(pc, actual uint64) {
-	v.lastOK = false
+	reuse := 0
+	if v.walkPC == pc && v.walkGen == v.hp.HistGen() {
+		reuse = v.walkN
+	}
+	v.walkN = 0
 	vpcas := v.scratchVPCA[:0]
 	foundIter := 0
 	for iter := 1; iter <= v.cfg.MaxIter; iter++ {
@@ -142,10 +173,14 @@ func (v *VPC) Update(pc, actual uint64) {
 		foundIter = best
 	}
 
+	nr := v.hp.RowCount()
 	for i, vpca := range vpcas[:foundIter] {
-		iter := i + 1
-		taken := iter == foundIter
-		v.hp.Train(vpca, taken)
+		taken := i+1 == foundIter
+		if i < reuse {
+			v.hp.TrainRows(vpca, taken, v.walkRows[i*nr:(i+1)*nr], i == 0)
+		} else {
+			v.hp.Train(vpca, taken)
+		}
 		v.hp.UpdateHistory(vpca, taken)
 	}
 	// Install the target in the allocate case; refresh the providing entry

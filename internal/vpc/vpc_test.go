@@ -1,10 +1,12 @@
 package vpc
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"blbp/internal/cond"
+	"blbp/internal/trace"
 )
 
 func newVPC() *VPC {
@@ -197,5 +199,110 @@ func TestConstructorPanics(t *testing.T) {
 func TestName(t *testing.T) {
 	if newVPC().Name() != "vpc" {
 		t.Error("Name")
+	}
+}
+
+// refVPC is the reference walk: Predict and Update drive the shared
+// perceptron through plain Predict and Train, with no row reuse.
+type refVPC struct{ *VPC }
+
+func (v refVPC) Predict(pc uint64) (uint64, bool) {
+	v.hp.HistSnapshotInto(&v.snapBuf)
+	defer v.hp.HistRestore(&v.snapBuf)
+	for iter := 1; iter <= v.cfg.MaxIter; iter++ {
+		vpca := v.vpcAddr(pc, iter)
+		target, hit := v.btb.Lookup(vpca)
+		if !hit {
+			return 0, false
+		}
+		if v.hp.Predict(vpca) {
+			return target, true
+		}
+		v.hp.SpecShift(false)
+	}
+	return 0, false
+}
+
+func (v refVPC) Update(pc, actual uint64) {
+	var vpcas []uint64
+	foundIter := 0
+	for iter := 1; iter <= v.cfg.MaxIter; iter++ {
+		vpca := v.vpcAddr(pc, iter)
+		vpcas = append(vpcas, vpca)
+		target, hit := v.btb.Lookup(vpca)
+		if hit && target == actual {
+			foundIter = iter
+			break
+		}
+		if !hit {
+			break
+		}
+	}
+	if foundIter == 0 {
+		best, bestStamp := len(vpcas), v.btb.SlotRecency(vpcas[len(vpcas)-1])
+		for i := len(vpcas) - 2; i >= 0; i-- {
+			if s := v.btb.SlotRecency(vpcas[i]); s < bestStamp {
+				best, bestStamp = i+1, s
+			}
+		}
+		foundIter = best
+	}
+	for i, vpca := range vpcas[:foundIter] {
+		taken := i+1 == foundIter
+		v.hp.Train(vpca, taken)
+		v.hp.UpdateHistory(vpca, taken)
+	}
+	v.btb.Update(vpcas[foundIter-1], actual)
+}
+
+// TestWalkReuseMatchesReference runs VPC (Update reusing Predict's rows)
+// and the reference walk side by side over a polymorphic stream with
+// conditional and other branches interleaved, Updates without a Predict,
+// and history moves between a Predict and its Update that must defeat the
+// reuse. Predictions and the shared perceptrons' state must agree.
+func TestWalkReuseMatchesReference(t *testing.T) {
+	v := newVPC()
+	ref := refVPC{newVPC()}
+	rng := rand.New(rand.NewSource(5))
+	pcs := []uint64{0x400100, 0x400200, 0x400340, 0x400480}
+	for i := 0; i < 20000; i++ {
+		pc := pcs[rng.Intn(len(pcs))]
+		actual := uint64(0x10000 * (1 + rng.Intn(1+int(pc>>8&7))))
+		switch r := rng.Intn(20); {
+		case r < 8:
+			cpc, taken := uint64(0x500000+rng.Intn(64)*4), rng.Intn(3) != 0
+			for _, hp := range []*cond.HashedPerceptron{v.hp, ref.hp} {
+				hp.Predict(cpc)
+				hp.Train(cpc, taken)
+				hp.UpdateHistory(cpc, taken)
+			}
+		case r < 9:
+			v.Update(pc, actual)
+			ref.Update(pc, actual)
+		default:
+			got, gotOK := v.Predict(pc)
+			want, wantOK := ref.Predict(pc)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("event %d: Predict(%#x) = %#x/%v, reference %#x/%v", i, pc, got, gotOK, want, wantOK)
+			}
+			if r == 9 {
+				v.hp.OnOther(pc, actual, trace.IndirectJump)
+				ref.hp.OnOther(pc, actual, trace.IndirectJump)
+			}
+			v.Update(pc, actual)
+			ref.Update(pc, actual)
+			v.hp.OnOther(pc, actual, trace.IndirectJump)
+			ref.hp.OnOther(pc, actual, trace.IndirectJump)
+		}
+	}
+	var a, b bytes.Buffer
+	if err := v.hp.EncodeState(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.hp.EncodeState(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("shared perceptron state differs from the reference walk's")
 	}
 }

@@ -38,6 +38,7 @@ go test -fuzz FuzzRunPlanDecode -fuzztime 5s -run xxx ./internal/runspec/
 go test -fuzz FuzzBatchEquivalence -fuzztime 5s -run xxx ./internal/batch/
 go test -fuzz FuzzColumnarEquivalence -fuzztime 5s -run xxx ./internal/sim/
 go test -fuzz FuzzSnapshotRoundTrip -fuzztime 5s -run xxx ./internal/sim/
+go test -fuzz FuzzHashedPerceptronEquivalence -fuzztime 5s -run xxx ./internal/cond/
 # Columnar differential smoke: the seed-corpus differential (record-slice
 # reference vs columnar replay, tape replay, and the columnar spill round
 # trip) must hold without the fuzz engine.
