@@ -17,6 +17,8 @@
 package blbp
 
 import (
+	"io"
+
 	"blbp/internal/btb"
 	"blbp/internal/combined"
 	"blbp/internal/cond"
@@ -203,12 +205,25 @@ var (
 
 // Trace I/O -----------------------------------------------------------------
 
-// WriteTrace and ReadTrace encode traces in the compact binary format used
-// by cmd/tracegen.
-var (
-	WriteTrace = trace.Write
-	ReadTrace  = trace.Read
-)
+// WriteTrace encodes t as a trace file: the one checksummed format that
+// cmd/tracegen writes and that blbpsim -trace, workload-spec replay nodes
+// and the trace cache's spill tier read. The header records t's name and
+// instruction count; a trace built outside a workload spec has no seed or
+// parameter fingerprint, so those fields are 0.
+func WriteTrace(w io.Writer, t *Trace) error {
+	h := trace.SpillHeader{Name: t.Name, Instructions: t.Instructions()}
+	return trace.WriteSpillColumns(w, h, t.Columns())
+}
+
+// ReadTrace decodes a trace file written by WriteTrace, cmd/tracegen or the
+// trace cache, verifying its block checksums and every record.
+func ReadTrace(r io.Reader) (*Trace, error) {
+	_, cols, err := trace.ReadSpillColumns(r)
+	if err != nil {
+		return nil, err
+	}
+	return cols.Trace(), nil
+}
 
 // NewPredictor constructs a registered standalone indirect predictor by
 // name with its default configuration ("blbp", "ittage", "btb", "btb2bit",

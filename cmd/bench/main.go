@@ -49,7 +49,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -195,25 +194,28 @@ func measureEngine(tr *blbp.Trace, reps int) (Entry, error) {
 	}, nil
 }
 
-// measureSpillDecode times decoding the spill-file encoding of tr — the
-// per-trace cost of a warm start from the trace cache's persistent tier.
-// The v1 entry re-encodes with the legacy whole-payload codec so the report
-// carries the before/after of the blocked (SPL2) decoder side by side, and
-// decode selects the record-slice or columnar destination: the columnar
-// spill_decode entry decodes the same SPL2 bytes straight into pooled
-// column arrays (trace.ReadSpillColumns).
-func measureSpillDecode(name string, tr *blbp.Trace, reps int, write func(io.Writer, trace.SpillHeader, *trace.Trace) error, decode func([]byte, int) error) (Entry, error) {
+// measureSpillDecode times decoding the trace-file encoding of tr — the
+// per-trace cost of a warm start from the trace cache's persistent tier —
+// through the columnar decoder (trace.ReadSpillColumns), recycling the
+// column arena between repetitions as a warm-start loop does.
+func measureSpillDecode(name string, tr *blbp.Trace, reps int) (Entry, error) {
 	var buf bytes.Buffer
 	h := trace.SpillHeader{Name: tr.Name, Seed: 1, Instructions: tr.Instructions()}
-	if err := write(&buf, h, tr); err != nil {
+	if err := trace.WriteSpillColumns(&buf, h, tr.Columns()); err != nil {
 		return Entry{}, err
 	}
 	data := buf.Bytes()
 	var decErr error
 	d := fastest(reps, func() {
-		if err := decode(data, len(tr.Records)); err != nil {
+		_, got, err := trace.ReadSpillColumns(bytes.NewReader(data))
+		if err != nil {
 			decErr = err
+			return
 		}
+		if got.Len() != len(tr.Records) {
+			decErr = fmt.Errorf("decoded %d records, want %d", got.Len(), len(tr.Records))
+		}
+		trace.ReleaseColumns(got)
 	})
 	if decErr != nil {
 		return Entry{}, decErr
@@ -225,50 +227,15 @@ func measureSpillDecode(name string, tr *blbp.Trace, reps int, write func(io.Wri
 	}, nil
 }
 
-// decodeSpillRecords decodes a spill image into the record-slice form.
-func decodeSpillRecords(data []byte, want int) error {
-	_, got, err := trace.ReadSpill(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	if len(got.Records) != want {
-		return fmt.Errorf("decoded %d records, want %d", len(got.Records), want)
-	}
-	return nil
-}
-
-// decodeSpillColumns decodes a spill image through the columnar fast path,
-// recycling the column arena between repetitions as a warm-start loop does.
-func decodeSpillColumns(data []byte, want int) error {
-	_, got, err := trace.ReadSpillColumns(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	n := got.Len()
-	trace.ReleaseColumns(got)
-	if n != want {
-		return fmt.Errorf("decoded %d records, want %d", n, want)
-	}
-	return nil
-}
-
 // measureSimRun runs one full-engine pass (hashed perceptron + BLBP) over
-// the micro trace through the record-slice reference loop or the columnar
-// segmented loop, so the report tracks the replay representations side by
-// side on identical predictions.
-func measureSimRun(name string, tr *blbp.Trace, reps int, columnar bool) (Entry, error) {
+// the micro trace through the columnar segmented loop (sim.RunColumns).
+func measureSimRun(name string, tr *blbp.Trace, reps int) (Entry, error) {
 	cols := tr.Columns()
 	var simErr error
 	d := fastest(reps, func() {
 		cp := blbp.NewHashedPerceptron()
 		ips := []blbp.IndirectPredictor{blbp.NewBLBP(blbp.DefaultBLBPConfig())}
-		var err error
-		if columnar {
-			_, err = sim.RunColumns(cols, cp, ips, sim.Options{})
-		} else {
-			_, err = sim.RunRecords(tr, cp, ips, sim.Options{})
-		}
-		if err != nil {
+		if _, err := sim.RunColumns(cols, cp, ips, sim.Options{}); err != nil {
 			simErr = err
 		}
 	})
@@ -414,29 +381,15 @@ func run(base int64, reps, parallel int, batchOnly bool, specFile string, bo bat
 	}
 	rep.Results = append(rep.Results, engine)
 
-	simRecords, err := measureSimRun("sim_run_records", tr, reps, false)
+	simColumnar, err := measureSimRun("sim_run_columnar", tr, reps)
 	if err != nil {
 		return nil, nil, err
 	}
-	simColumnar, err := measureSimRun("sim_run_columnar", tr, reps, true)
+	spill, err := measureSpillDecode("spill_decode", tr, reps)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.Results = append(rep.Results, simRecords, simColumnar)
-
-	spillV1, err := measureSpillDecode("spill_decode_v1", tr, reps, trace.WriteSpillV1, decodeSpillRecords)
-	if err != nil {
-		return nil, nil, err
-	}
-	spillV2, err := measureSpillDecode("spill_decode_records", tr, reps, trace.WriteSpill, decodeSpillRecords)
-	if err != nil {
-		return nil, nil, err
-	}
-	spillCols, err := measureSpillDecode("spill_decode", tr, reps, trace.WriteSpill, decodeSpillColumns)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Results = append(rep.Results, spillV1, spillV2, spillCols)
+	rep.Results = append(rep.Results, simColumnar, spill)
 
 	specs, err := suiteSpecs(base, specFile)
 	if err != nil {

@@ -14,6 +14,11 @@
 // object or an array; see internal/wspec) and writes each spec's trace to
 // -dir (or a single spec to -out). dumpspec prints a built-in workload as
 // the equivalent spec JSON — the starting point for authoring variants.
+//
+// Trace files are in the one trace file format (internal/trace): the
+// header carries the workload's full identity, so blbpsim -trace or a
+// workload-spec replay node reads a generated file back to the same
+// numbers as simulating the workload directly.
 package main
 
 import (
@@ -24,6 +29,7 @@ import (
 
 	"blbp"
 	"blbp/internal/report"
+	"blbp/internal/trace"
 	"blbp/internal/wspec"
 )
 
@@ -164,13 +170,22 @@ func runDumpSpec(args []string) error {
 	return err
 }
 
+// writeSpec writes the spec's trace as a trace file whose header carries
+// the spec's full identity (name, seed, instruction budget, parameter
+// fingerprint) — the same file the trace cache would spill for it, which a
+// workload-spec replay node or blbpsim -trace reads back.
 func writeSpec(s blbp.WorkloadSpec, path string) error {
+	id := s.Identity()
+	h := trace.SpillHeader{Name: id.Name, Seed: id.Seed, Instructions: id.Instructions, Fingerprint: id.Fingerprint}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return blbp.WriteTrace(f, s.Build())
+	if err := trace.WriteSpillColumns(f, h, s.BuildColumns()); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func runInspect(args []string) error {
@@ -182,15 +197,18 @@ func runInspect(args []string) error {
 		return err
 	}
 	defer f.Close()
-	tr, err := blbp.ReadTrace(f)
+	h, cols, err := trace.ReadSpillColumns(f)
 	if err != nil {
 		return err
 	}
-	st := blbp.AnalyzeTrace(tr)
+	st := trace.AnalyzeColumns(cols)
 	tb := report.NewTable(
-		fmt.Sprintf("Trace %s: %d instructions, %d branch records", tr.Name, st.Instructions, len(tr.Records)),
+		fmt.Sprintf("Trace %s: %d instructions, %d branch records", h.Name, st.Instructions, cols.Len()),
 		"metric", "value",
 	)
+	tb.AddRowf("seed", h.Seed)
+	tb.AddRowf("instruction budget", h.Instructions)
+	tb.AddRowf("parameter fingerprint", fmt.Sprintf("%016x", h.Fingerprint))
 	for _, bt := range []blbp.BranchType{
 		blbp.CondDirect, blbp.UncondDirect, blbp.DirectCall,
 		blbp.IndirectJump, blbp.IndirectCall, blbp.Return,

@@ -84,7 +84,7 @@ const instructionSize = 4
 //
 // Replay runs over the trace's columnar form (built and cached on first
 // use; see trace.Columns) via RunColumns. Results are bit-identical to the
-// record-slice reference RunRecords.
+// record-slice reference loop the tests keep (records_test.go).
 //
 // VPC shares state with the conditional predictor, so a VPC instance must
 // be the only indirect predictor in its pass and must be paired with its
@@ -120,104 +120,6 @@ func RunColumns(cols *trace.Columns, cp cond.Predictor, indirects []predictor.In
 	pr := &PausedRun{stack: ras.New(opts.rasDepth()), perPred: make([]Result, len(indirects))}
 	runRange(cols, cp, indirects, pr, cols.Len())
 	return finalize(cols, indirects, pr), nil
-}
-
-// RunRecords is the record-slice reference engine: the original per-record
-// loop over tr.Records, kept verbatim (modulo the hoisted TargetTrainer
-// assertion) as the differential baseline for the columnar path — the
-// FuzzColumnarEquivalence gate and the sim_run_records bench entry compare
-// against it. New callers should use Run.
-func RunRecords(tr *trace.Trace, cp cond.Predictor, indirects []predictor.Indirect, opts Options) ([]Result, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("sim: nil trace")
-	}
-	if cp == nil {
-		return nil, fmt.Errorf("sim: nil conditional predictor")
-	}
-	if len(indirects) == 0 {
-		return nil, fmt.Errorf("sim: no indirect predictors")
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	stack := ras.New(opts.rasDepth())
-	var shared Result
-	perPred := make([]Result, len(indirects))
-	tt, hasTT := cp.(cond.TargetTrainer)
-
-	for ri := range tr.Records {
-		r := &tr.Records[ri]
-		shared.Instructions += r.Instructions()
-
-		switch r.Type {
-		case trace.CondDirect:
-			shared.CondBranches++
-			pred := cp.Predict(r.PC)
-			if pred != r.Taken {
-				shared.CondMispredicts++
-			}
-			if hasTT {
-				tt.TrainWithTarget(r.PC, r.Taken, r.Target)
-			} else {
-				cp.Train(r.PC, r.Taken)
-			}
-			cp.UpdateHistory(r.PC, r.Taken)
-			for _, ip := range indirects {
-				ip.OnCond(r.PC, r.Taken)
-			}
-
-		case trace.IndirectJump, trace.IndirectCall:
-			for i, ip := range indirects {
-				perPred[i].IndirectBranches++
-				pred, ok := ip.Predict(r.PC)
-				if !ok {
-					perPred[i].NoPrediction++
-					perPred[i].IndirectMispredicts++
-				} else if pred != r.Target {
-					perPred[i].IndirectMispredicts++
-				}
-				ip.Update(r.PC, r.Target)
-			}
-			if r.Type == trace.IndirectCall {
-				stack.Push(r.PC + instructionSize)
-			}
-			cp.OnOther(r.PC, r.Target, r.Type)
-
-		case trace.Return:
-			shared.Returns++
-			if !stack.Predict(r.Target) {
-				shared.ReturnMispredicts++
-			}
-			cp.OnOther(r.PC, r.Target, r.Type)
-			for _, ip := range indirects {
-				ip.OnOther(r.PC, r.Target, r.Type)
-			}
-
-		case trace.DirectCall:
-			stack.Push(r.PC + instructionSize)
-			cp.OnOther(r.PC, r.Target, r.Type)
-			for _, ip := range indirects {
-				ip.OnOther(r.PC, r.Target, r.Type)
-			}
-
-		case trace.UncondDirect:
-			cp.OnOther(r.PC, r.Target, r.Type)
-			for _, ip := range indirects {
-				ip.OnOther(r.PC, r.Target, r.Type)
-			}
-		}
-	}
-
-	for i, ip := range indirects {
-		perPred[i].Trace = tr.Name
-		perPred[i].Predictor = ip.Name()
-		perPred[i].Instructions = shared.Instructions
-		perPred[i].CondBranches = shared.CondBranches
-		perPred[i].CondMispredicts = shared.CondMispredicts
-		perPred[i].Returns = shared.Returns
-		perPred[i].ReturnMispredicts = shared.ReturnMispredicts
-	}
-	return perPred, nil
 }
 
 // RunOne is a convenience wrapper for a single indirect predictor.

@@ -1,6 +1,6 @@
 // Package snapshot implements BLBPSNP1, the versioned, checksummed codec
 // for trained predictor state. A snapshot is a self-describing container in
-// the same discipline as the BLBPSPL2 spill format (internal/trace): an
+// the same discipline as the trace file format (internal/trace): an
 // 8-byte magic, a format version, the owning predictor's name and a 64-bit
 // fingerprint of its configuration, then a sequence of typed sections, each
 // carrying its own FNV-64a checksum. Decoding verifies magic, version,

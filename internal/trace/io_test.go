@@ -9,6 +9,9 @@ import (
 	"testing/quick"
 )
 
+// These tests drive the one trace file format through the same shorthands
+// blbp.WriteTrace and blbp.ReadTrace use (writeTrace/readTrace).
+
 func sampleTrace() *Trace {
 	return &Trace{
 		Name: "sample",
@@ -25,12 +28,12 @@ func sampleTrace() *Trace {
 func TestWriteReadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	orig := sampleTrace()
-	if err := Write(&buf, orig); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := writeTrace(&buf, orig); err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	got, err := Read(&buf)
+	got, err := readTrace(&buf)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("read: %v", err)
 	}
 	if got.Name != orig.Name {
 		t.Errorf("name = %q, want %q", got.Name, orig.Name)
@@ -41,42 +44,47 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadBadMagic(t *testing.T) {
-	_, err := Read(bytes.NewReader([]byte("NOTATRACEFILE___")))
-	if !errors.Is(err, ErrBadMagic) {
-		t.Errorf("Read bad magic: err = %v, want ErrBadMagic", err)
+	_, err := readTrace(bytes.NewReader([]byte("NOTATRACEFILE___")))
+	if !errors.Is(err, ErrBadSpillMagic) {
+		t.Errorf("read bad magic: err = %v, want ErrBadSpillMagic", err)
 	}
 }
 
 func TestReadTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, sampleTrace()); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := writeTrace(&buf, sampleTrace()); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 	full := buf.Bytes()
 	// Every proper prefix must fail cleanly, never panic.
 	for n := 0; n < len(full); n++ {
-		if _, err := Read(bytes.NewReader(full[:n])); err == nil {
-			t.Errorf("Read of %d-byte prefix succeeded, want error", n)
+		if _, err := readTrace(bytes.NewReader(full[:n])); err == nil {
+			t.Errorf("read of %d-byte prefix succeeded, want error", n)
 		}
 	}
 }
 
 func TestWriteRejectsInvalidRecord(t *testing.T) {
-	tr := &Trace{Records: []Record{{Type: BranchType(7), Taken: true}}}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err == nil {
-		t.Error("Write accepted invalid record")
+	for _, r := range []Record{
+		{Type: BranchType(7), Taken: true},
+		{Type: IndirectJump, Taken: false},
+	} {
+		tr := &Trace{Records: []Record{r}}
+		var buf bytes.Buffer
+		if err := writeTrace(&buf, tr); err == nil {
+			t.Errorf("write accepted invalid record %+v", r)
+		}
 	}
 }
 
 func TestEmptyTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, &Trace{Name: ""}); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := writeTrace(&buf, &Trace{Name: ""}); err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	got, err := Read(&buf)
+	got, err := readTrace(&buf)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("read: %v", err)
 	}
 	if len(got.Records) != 0 {
 		t.Errorf("got %d records, want 0", len(got.Records))
@@ -109,13 +117,13 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		orig := randomTrace(rand.New(rand.NewSource(seed)))
 		var buf bytes.Buffer
-		if err := Write(&buf, orig); err != nil {
-			t.Logf("Write: %v", err)
+		if err := writeTrace(&buf, orig); err != nil {
+			t.Logf("write: %v", err)
 			return false
 		}
-		got, err := Read(&buf)
+		got, err := readTrace(&buf)
 		if err != nil {
-			t.Logf("Read: %v", err)
+			t.Logf("read: %v", err)
 			return false
 		}
 		if len(got.Records) != len(orig.Records) {
@@ -141,8 +149,8 @@ func TestEncodingIsCompact(t *testing.T) {
 		tr.Append(Record{PC: 0x400100, Target: 0x400000, InstrBefore: 5, Type: CondDirect, Taken: true})
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := writeTrace(&buf, tr); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 	perRecord := float64(buf.Len()) / 1000
 	if perRecord > 8 {

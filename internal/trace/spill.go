@@ -2,23 +2,21 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 )
 
-// A spill file is the persistent form the trace cache writes: a
-// self-describing header followed by the trace's records. The header
-// carries the full workload identity (name, seed, instruction budget) plus
-// the record count, so a reader can decide whether a file on disk really is
-// the trace it wants — a bare payload carries only the workload name, which
-// is not enough once files outlive the process that wrote them (stale
-// seeds, renamed files, hash collisions in the file name).
-//
-// The current format (SPL3) stores records in checksummed blocks:
+// A trace file is one self-describing header followed by the trace's
+// records. The header carries the full workload identity (name, seed,
+// instruction budget, parameter fingerprint) plus the record count, so a
+// reader can decide whether a file on disk really is the trace it wants —
+// a bare name is not enough once files outlive the process that wrote them
+// (stale seeds, renamed files, hash collisions in the file name). Every
+// trace file input and output uses this one format (SPL3): the trace
+// cache's spill tier, wspec replay nodes, cmd/tracegen, blbpsim -trace and
+// the public blbp.WriteTrace/ReadTrace.
 //
 //	magic    "BLBPSPL3"                 (8 bytes)
 //	name     uvarint length + bytes     (workload name)
@@ -27,38 +25,41 @@ import (
 //	fprint   uvarint                    (generator-parameter fingerprint)
 //	records  uvarint                    (total record count)
 //	blocks   until records are consumed:
-//	  nrec     uvarint                  (records in this block, > 0)
+//	  nrec     uvarint                  (records in this block, 1..4096)
 //	  nbytes   uvarint                  (encoded size of this block)
 //	  checksum 8 bytes little-endian    (FNV-64a of the block bytes)
-//	  payload  nbytes bytes             (nrec records, same per-record
-//	                                    encoding as BLBPTRC1; the PC delta
-//	                                    chain restarts at 0 in each block)
+//	  payload  nbytes bytes             (nrec records)
+//
+// Each record is encoded as:
+//
+//	header      1 byte: type (bits 0..2) | taken (bit 3)
+//	instrBefore uvarint
+//	pc          uvarint of pc XOR prevPC   (delta-style, compresses loops;
+//	                                       prevPC restarts at 0 per block)
+//	target      uvarint of target XOR pc
 //
 // Blocking serves the reader: each block is checksummed and then decoded
-// from one contiguous in-memory slice (binary.Uvarint over []byte instead
-// of a byte-at-a-time bufio stream), and a corrupt or truncated file fails
-// at the first bad block instead of after hashing the whole payload.
+// from one contiguous in-memory slice, and a corrupt or truncated file
+// fails at the first bad block instead of after hashing the whole payload.
 // Restarting the delta chain per block keeps blocks independently
 // decodable.
 //
 // The fingerprint hashes the workload's canonicalized generator parameters
 // (workload.FingerprintCanon), completing the identity: two workloads can
 // share a name, seed and budget yet generate different traces once specs
-// are user-authored data. Earlier formats are still read — SPL2 (identical
-// blocks, no fingerprint field) and SPL1 (one whole-file FNV-64a checksum
-// over a complete BLBPTRC1 payload) — and report fingerprint 0, which
-// readers treat as "unknown, match by name/seed/budget alone", so spill
-// directories written by older runs keep warm-starting newer ones.
+// are user-authored data. Files in any other format, including the retired
+// earlier spill versions, fail with ErrBadSpillMagic; the trace cache
+// counts such a file as a spill error and rebuilds the trace.
+//
+// Records decode straight into a pooled Columns arena with zero per-record
+// allocation (see ReadSpillColumns).
 
-var (
-	spillMagicV1 = [8]byte{'B', 'L', 'B', 'P', 'S', 'P', 'L', '1'}
-	spillMagicV2 = [8]byte{'B', 'L', 'B', 'P', 'S', 'P', 'L', '2'}
-	spillMagic   = [8]byte{'B', 'L', 'B', 'P', 'S', 'P', 'L', '3'}
-)
+var spillMagic = [8]byte{'B', 'L', 'B', 'P', 'S', 'P', 'L', '3'}
 
-// spillBlockRecords is the encoder's records-per-block target. At the
-// format's worst-case record size (26 bytes) a block stays comfortably
-// inside CPU caches while amortizing the per-block checksum.
+// spillBlockRecords is the encoder's records-per-block count and the
+// decoder's limit. At the format's worst-case record size (26 bytes) a
+// block stays comfortably inside CPU caches while amortizing the
+// per-block checksum.
 const spillBlockRecords = 4096
 
 // maxSpillRecordLen bounds one encoded record: 1 header byte, a 5-byte
@@ -67,16 +68,16 @@ const spillBlockRecords = 4096
 // allocating.
 const maxSpillRecordLen = 1 + 5 + 10 + 10
 
-// ErrBadSpillMagic is returned when decoding data that is not a BLBP spill
-// file (including bare BLBPTRC1 payloads from the pre-header format).
+// ErrBadSpillMagic is returned when decoding data that is not a BLBP trace
+// file (including files in retired earlier formats).
 var ErrBadSpillMagic = errors.New("trace: bad magic (not a BLBP spill file)")
 
-// ErrSpillMismatch is returned when a spill file's payload does not match
+// ErrSpillMismatch is returned when a trace file's payload does not match
 // its own header (checksum, record count, or block structure), i.e. the
 // file is corrupt or was truncated by a crash.
 var ErrSpillMismatch = errors.New("trace: spill payload does not match header")
 
-// SpillHeader is the self-describing preamble of a spill file.
+// SpillHeader is the self-describing preamble of a trace file.
 type SpillHeader struct {
 	// Name, Seed and Instructions are the workload identity of the payload
 	// (workload.Identity, spelled out so this package need not import it).
@@ -84,19 +85,15 @@ type SpillHeader struct {
 	Seed         int64
 	Instructions int64
 	// Fingerprint hashes the workload's canonicalized generator parameters
-	// (workload.Identity.Fingerprint). Zero in files written before SPL3,
-	// meaning "unknown": readers match such files on name/seed/budget alone.
+	// (workload.Identity.Fingerprint).
 	Fingerprint uint64
 	// Records is the payload's record count.
 	Records int64
-	// Checksum is the FNV-64a hash of the payload bytes in SPL1 files; later
-	// formats checksum per block and leave it zero.
-	Checksum uint64
 }
 
-// writeSpillHeader writes the identity fields shared by both formats.
-func writeSpillHeader(bw *bufio.Writer, magic [8]byte, h SpillHeader, records int) error {
-	if _, err := bw.Write(magic[:]); err != nil {
+// writeSpillHeader writes the header fields in order.
+func writeSpillHeader(bw *bufio.Writer, h SpillHeader, records int) error {
+	if _, err := bw.Write(spillMagic[:]); err != nil {
 		return err
 	}
 	var buf [binary.MaxVarintLen64]byte
@@ -111,63 +108,100 @@ func writeSpillHeader(bw *bufio.Writer, magic [8]byte, h SpillHeader, records in
 	if _, err := bw.WriteString(h.Name); err != nil {
 		return err
 	}
-	if err := putUvarint(uint64(h.Seed)); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(h.Instructions)); err != nil {
-		return err
-	}
-	if magic == spillMagic {
-		if err := putUvarint(h.Fingerprint); err != nil {
+	for _, v := range [...]uint64{uint64(h.Seed), uint64(h.Instructions), h.Fingerprint} {
+		if err := putUvarint(v); err != nil {
 			return err
 		}
 	}
 	return putUvarint(uint64(records))
 }
 
-// WriteSpill encodes t as a spill file in the current (SPL3) format: header
-// (including the parameter fingerprint) then checksummed record blocks.
-// Name, Seed, Instructions and Fingerprint are taken from h; Records is
-// computed from t and h's value for it is ignored.
-func WriteSpill(w io.Writer, h SpillHeader, t *Trace) error {
-	return writeSpillBlocked(w, spillMagic, h, t)
+// readSpillHeader decodes the header from br.
+func readSpillHeader(br *bufio.Reader) (SpillHeader, error) {
+	var h SpillHeader
+	var m [8]byte
+	if _, err := io.ReadFull(br, m[:]); err != nil {
+		return h, fmt.Errorf("trace: reading spill magic: %w", err)
+	}
+	if m != spillMagic {
+		return h, ErrBadSpillMagic
+	}
+	nameLen, err := binary.ReadUvarint(br)
+	if err != nil {
+		return h, fmt.Errorf("trace: reading spill name length: %w", err)
+	}
+	const maxNameLen = 1 << 16
+	if nameLen > maxNameLen {
+		return h, fmt.Errorf("trace: spill name length %d exceeds limit", nameLen)
+	}
+	name := make([]byte, nameLen)
+	if _, err := io.ReadFull(br, name); err != nil {
+		return h, fmt.Errorf("trace: reading spill name: %w", err)
+	}
+	h.Name = string(name)
+	seed, err := binary.ReadUvarint(br)
+	if err != nil {
+		return h, fmt.Errorf("trace: reading spill seed: %w", err)
+	}
+	h.Seed = int64(seed)
+	instr, err := binary.ReadUvarint(br)
+	if err != nil {
+		return h, fmt.Errorf("trace: reading spill instruction budget: %w", err)
+	}
+	h.Instructions = int64(instr)
+	if h.Fingerprint, err = binary.ReadUvarint(br); err != nil {
+		return h, fmt.Errorf("trace: reading spill fingerprint: %w", err)
+	}
+	count, err := binary.ReadUvarint(br)
+	if err != nil {
+		return h, fmt.Errorf("trace: reading spill record count: %w", err)
+	}
+	const maxRecords = 1 << 32
+	if count > maxRecords {
+		return h, fmt.Errorf("trace: spill record count %d exceeds limit", count)
+	}
+	h.Records = int64(count)
+	return h, nil
 }
 
-// WriteSpillV2 encodes t in the previous SPL2 format (same blocks, no
-// fingerprint field). Kept so tests can produce pre-fingerprint files and
-// exercise the read fallback; new spill files should use WriteSpill.
-func WriteSpillV2(w io.Writer, h SpillHeader, t *Trace) error {
-	return writeSpillBlocked(w, spillMagicV2, h, t)
+// ReadSpillHeader decodes only the header of a trace file, leaving the
+// payload unread — the cheap probe a cache uses to index a directory of
+// spill files by identity without decoding any records.
+func ReadSpillHeader(r io.Reader) (SpillHeader, error) {
+	return readSpillHeader(bufio.NewReader(r))
 }
 
-func writeSpillBlocked(w io.Writer, magic [8]byte, h SpillHeader, t *Trace) error {
+// WriteSpillColumns encodes c as a trace file: header then checksummed
+// record blocks. Name, Seed, Instructions and Fingerprint are taken from h;
+// Records is computed from c and h's value for it is ignored.
+func WriteSpillColumns(w io.Writer, h SpillHeader, c *Columns) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeSpillHeader(bw, magic, h, len(t.Records)); err != nil {
+	if err := writeSpillHeader(bw, h, c.Len()); err != nil {
 		return err
 	}
 	var buf [binary.MaxVarintLen64]byte
 	scratch := make([]byte, 0, spillBlockRecords*8)
-	for start := 0; start < len(t.Records); start += spillBlockRecords {
+	pc, target, instr := c.pc, c.target, c.instrBefore
+	for start := 0; start < c.Len(); start += spillBlockRecords {
 		end := start + spillBlockRecords
-		if end > len(t.Records) {
-			end = len(t.Records)
+		if end > c.Len() {
+			end = c.Len()
 		}
 		scratch = scratch[:0]
 		var prevPC uint64
 		for i := start; i < end; i++ {
-			r := t.Records[i]
-			if err := r.Validate(); err != nil {
-				return fmt.Errorf("record %d: %w", i, err)
-			}
-			header := byte(r.Type)
-			if r.Taken {
+			header := c.typ[i]
+			if c.Taken(i) {
 				header |= 1 << 3
 			}
 			scratch = append(scratch, header)
-			scratch = binary.AppendUvarint(scratch, uint64(r.InstrBefore))
-			scratch = binary.AppendUvarint(scratch, r.PC^prevPC)
-			scratch = binary.AppendUvarint(scratch, r.Target^r.PC)
-			prevPC = r.PC
+			scratch = binary.AppendUvarint(scratch, uint64(instr[i]))
+			scratch = binary.AppendUvarint(scratch, pc[i]^prevPC)
+			scratch = binary.AppendUvarint(scratch, target[i]^pc[i])
+			prevPC = pc[i]
 		}
 		n := binary.PutUvarint(buf[:], uint64(end-start))
 		if _, err := bw.Write(buf[:n]); err != nil {
@@ -177,9 +211,7 @@ func writeSpillBlocked(w io.Writer, magic [8]byte, h SpillHeader, t *Trace) erro
 		if _, err := bw.Write(buf[:n]); err != nil {
 			return err
 		}
-		sum := fnv.New64a()
-		sum.Write(scratch)
-		binary.LittleEndian.PutUint64(buf[:8], sum.Sum64())
+		binary.LittleEndian.PutUint64(buf[:8], fnv64a(scratch))
 		if _, err := bw.Write(buf[:8]); err != nil {
 			return err
 		}
@@ -190,187 +222,69 @@ func writeSpillBlocked(w io.Writer, magic [8]byte, h SpillHeader, t *Trace) erro
 	return bw.Flush()
 }
 
-// WriteSpillV1 encodes t in the legacy SPL1 format (whole-file checksum,
-// BLBPTRC1 payload). Kept so tests and benchmarks can exercise the read
-// fallback; new spill files should use WriteSpill.
-func WriteSpillV1(w io.Writer, h SpillHeader, t *Trace) error {
-	var payload bytes.Buffer
-	if err := Write(&payload, t); err != nil {
-		return err
-	}
-	sum := fnv.New64a()
-	sum.Write(payload.Bytes())
-
-	bw := bufio.NewWriter(w)
-	if err := writeSpillHeader(bw, spillMagicV1, h, len(t.Records)); err != nil {
-		return err
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], sum.Sum64())
-	if _, err := bw.Write(buf[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(payload.Bytes()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// readSpillHeader decodes the header from br and reports the format
-// version (1, 2 or 3).
-func readSpillHeader(br *bufio.Reader) (SpillHeader, int, error) {
-	var h SpillHeader
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return h, 0, fmt.Errorf("trace: reading spill magic: %w", err)
-	}
-	var version int
-	switch m {
-	case spillMagicV1:
-		version = 1
-	case spillMagicV2:
-		version = 2
-	case spillMagic:
-		version = 3
-	default:
-		return h, 0, ErrBadSpillMagic
-	}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return h, 0, fmt.Errorf("trace: reading spill name length: %w", err)
-	}
-	const maxNameLen = 1 << 16
-	if nameLen > maxNameLen {
-		return h, 0, fmt.Errorf("trace: spill name length %d exceeds limit", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return h, 0, fmt.Errorf("trace: reading spill name: %w", err)
-	}
-	h.Name = string(name)
-	seed, err := binary.ReadUvarint(br)
-	if err != nil {
-		return h, 0, fmt.Errorf("trace: reading spill seed: %w", err)
-	}
-	h.Seed = int64(seed)
-	instr, err := binary.ReadUvarint(br)
-	if err != nil {
-		return h, 0, fmt.Errorf("trace: reading spill instruction budget: %w", err)
-	}
-	h.Instructions = int64(instr)
-	if version >= 3 {
-		fp, err := binary.ReadUvarint(br)
-		if err != nil {
-			return h, 0, fmt.Errorf("trace: reading spill fingerprint: %w", err)
-		}
-		h.Fingerprint = fp
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return h, 0, fmt.Errorf("trace: reading spill record count: %w", err)
-	}
-	const maxRecords = 1 << 32
-	if count > maxRecords {
-		return h, 0, fmt.Errorf("trace: spill record count %d exceeds limit", count)
-	}
-	h.Records = int64(count)
-	if version == 1 {
-		var sum [8]byte
-		if _, err := io.ReadFull(br, sum[:]); err != nil {
-			return h, 0, fmt.Errorf("trace: reading spill checksum: %w", err)
-		}
-		h.Checksum = binary.LittleEndian.Uint64(sum[:])
-	}
-	return h, version, nil
-}
-
-// ReadSpillHeader decodes only the header of a spill file (either format),
-// leaving the payload unread — the cheap probe a cache uses to index a
-// directory of spill files by identity without decoding any records.
-func ReadSpillHeader(r io.Reader) (SpillHeader, error) {
-	h, _, err := readSpillHeader(bufio.NewReader(r))
-	return h, err
-}
-
-// ReadSpill decodes a complete spill file of either format: the header,
-// then the payload, verified against the header's checksums and record
-// count and the usual per-record validation. The decoded trace's name must
-// match the header's.
-func ReadSpill(r io.Reader) (SpillHeader, *Trace, error) {
+// ReadSpillColumns decodes a complete trace file into columnar form: the
+// header, then every block, verified against the header's record count,
+// the per-block checksums, and the per-record validation. Blocks are
+// bulk-decoded into pooled column arrays; pass the result to ReleaseColumns
+// when done to recycle the arena.
+func ReadSpillColumns(r io.Reader) (SpillHeader, *Columns, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	h, version, err := readSpillHeader(br)
+	h, err := readSpillHeader(br)
 	if err != nil {
 		return h, nil, err
 	}
-	var t *Trace
-	if version == 1 {
-		t, err = readSpillPayloadV1(br, h)
-	} else {
-		t, err = readSpillBlocks(br, h) // SPL2 and SPL3 share the block layout
-	}
+	c, err := readSpillBlocksColumns(br, h)
 	if err != nil {
 		return h, nil, err
 	}
-	if t.Name != h.Name {
-		return h, nil, fmt.Errorf("%w: payload name %q, header says %q", ErrSpillMismatch, t.Name, h.Name)
-	}
-	return h, t, nil
+	return h, c, nil
 }
 
-// readSpillPayloadV1 decodes the legacy whole-payload form.
-func readSpillPayloadV1(br *bufio.Reader, h SpillHeader) (*Trace, error) {
-	payload, err := io.ReadAll(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading spill payload: %w", err)
+// readSpillBlocksColumns decodes the block sequence into a pooled Columns:
+// each block's size is checked before allocating, its checksum verified,
+// and its records bulk-decoded by index into the column arrays.
+func readSpillBlocksColumns(br *bufio.Reader, h SpillHeader) (*Columns, error) {
+	// Cap the initial arena size: a corrupt record count must not commit
+	// gigabytes up front. The arena is taken only once the first block has
+	// passed its size and checksum checks, and grows block by block past
+	// the cap, so a corrupt file fails at its first bad block having
+	// allocated at most one block's worth beyond the capped arena.
+	capHint := h.Records
+	if capHint > 1<<16 {
+		capHint = 1 << 16
 	}
-	sum := fnv.New64a()
-	sum.Write(payload)
-	if sum.Sum64() != h.Checksum {
-		return nil, fmt.Errorf("%w: checksum %016x, header says %016x", ErrSpillMismatch, sum.Sum64(), h.Checksum)
-	}
-	t, err := Read(bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(t.Records)) != h.Records {
-		return nil, fmt.Errorf("%w: %d records, header says %d", ErrSpillMismatch, len(t.Records), h.Records)
-	}
-	return t, nil
-}
-
-// readSpillBlocks decodes the SPL2 block sequence: each block is length-
-// checked, checksummed, and then bulk-decoded from its in-memory bytes.
-func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Trace, error) {
-	t := &Trace{Name: h.Name}
-	if h.Records > 0 {
-		// Cap the preallocation: a corrupt count must not commit gigabytes
-		// up front. Decoding fails naturally at the first bad block.
-		capHint := h.Records
-		if capHint > 1<<16 {
-			capHint = 1 << 16
-		}
-		t.Records = make([]Record, 0, capHint)
+	var c *Columns
+	arena := func() {
+		c = newPooledColumns(h.Name, int(capHint))
+		c.setLen(0)
 	}
 	var block []byte
 	var decoded int64
+	fail := func(err error) (*Columns, error) {
+		ReleaseColumns(c)
+		return nil, err
+	}
 	for decoded < h.Records {
 		nrec, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("trace: reading spill block record count: %w", err)
+			return fail(fmt.Errorf("trace: reading spill block record count: %w", err))
 		}
-		if nrec == 0 || int64(nrec) > h.Records-decoded {
-			return nil, fmt.Errorf("%w: block of %d records with %d remaining", ErrSpillMismatch, nrec, h.Records-decoded)
+		// The writer never emits more than spillBlockRecords per block, so
+		// a larger count is corruption — and rejecting it here bounds the
+		// block buffer below before a single payload byte is read.
+		if nrec == 0 || nrec > spillBlockRecords || int64(nrec) > h.Records-decoded {
+			return fail(fmt.Errorf("%w: block of %d records with %d remaining", ErrSpillMismatch, nrec, h.Records-decoded))
 		}
 		nbytes, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("trace: reading spill block size: %w", err)
+			return fail(fmt.Errorf("trace: reading spill block size: %w", err))
 		}
 		if nbytes < nrec || nbytes > nrec*maxSpillRecordLen {
-			return nil, fmt.Errorf("%w: block of %d bytes for %d records", ErrSpillMismatch, nbytes, nrec)
+			return fail(fmt.Errorf("%w: block of %d bytes for %d records", ErrSpillMismatch, nbytes, nrec))
 		}
 		var sumBuf [8]byte
 		if _, err := io.ReadFull(br, sumBuf[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading spill block checksum: %w", err)
+			return fail(fmt.Errorf("trace: reading spill block checksum: %w", err))
 		}
 		want := binary.LittleEndian.Uint64(sumBuf[:])
 		if uint64(cap(block)) < nbytes {
@@ -378,67 +292,148 @@ func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Trace, error) {
 		}
 		block = block[:nbytes]
 		if _, err := io.ReadFull(br, block); err != nil {
-			return nil, fmt.Errorf("trace: reading spill block payload: %w", err)
+			return fail(fmt.Errorf("trace: reading spill block payload: %w", err))
 		}
-		sum := fnv.New64a()
-		sum.Write(block)
-		if sum.Sum64() != want {
-			return nil, fmt.Errorf("%w: block checksum %016x, header says %016x", ErrSpillMismatch, sum.Sum64(), want)
+		if got := fnv64a(block); got != want {
+			return fail(fmt.Errorf("%w: block checksum %016x, header says %016x", ErrSpillMismatch, got, want))
 		}
-		if t.Records, err = appendBlockRecords(t.Records, block, int(nrec)); err != nil {
-			return nil, err
+		if c == nil {
+			arena()
+		}
+		base := int(decoded)
+		c.grow(base + int(nrec))
+		c.setLen(base + int(nrec))
+		if i, fault := decodeBlockColumns(c, base, block, int(nrec)); fault != blockOK {
+			return fail(fmt.Errorf("%w: %v at block record %d", ErrSpillMismatch, fault, i))
 		}
 		decoded += int64(nrec)
 	}
-	// Every record was validated during decoding; mark the trace so
+	if c == nil {
+		arena() // an empty trace has no blocks
+	}
+	c.finalize()
+	// Every record was validated during decoding; mark the columns so
 	// simulation passes skip revalidation.
-	t.validated = true
-	return t, nil
+	c.validated = true
+	return c, nil
 }
 
-// appendBlockRecords bulk-decodes one block's records from data (which must
-// be consumed exactly) onto dst. The PC delta chain starts at 0.
-func appendBlockRecords(dst []Record, data []byte, nrec int) ([]Record, error) {
+// blockFault is decodeBlockColumns' failure cause: a plain code, so the hot
+// decoder reports malformed input without building an error value.
+type blockFault uint8
+
+const (
+	blockOK blockFault = iota
+	faultTruncated
+	faultInstrVarint
+	faultInstrOverflow
+	faultPCVarint
+	faultTargetVarint
+	faultBadType
+	faultNotTaken
+	faultTrailing
+)
+
+var blockFaultText = [...]string{
+	blockOK:            "ok",
+	faultTruncated:     "block truncated",
+	faultInstrVarint:   "bad instr count",
+	faultInstrOverflow: "instr count overflows 32 bits",
+	faultPCVarint:      "bad pc",
+	faultTargetVarint:  "bad target",
+	faultBadType:       "invalid branch type",
+	faultNotTaken:      "unconditional branch marked not taken",
+	faultTrailing:      "trailing bytes",
+}
+
+func (f blockFault) String() string { return blockFaultText[f] }
+
+// decodeBlockColumns bulk-decodes one block's records (PC delta chain
+// starting at 0) straight into the column arrays at index base. data must
+// be consumed exactly. Validation is inlined — Record.Validate's two
+// conditions plus the varint and overflow checks — and a malformed block
+// reports the index of the offending record within the block and its cause
+// (faultTrailing reports nrec), blockOK otherwise.
+//
+//blbp:hot
+func decodeBlockColumns(c *Columns, base int, data []byte, nrec int) (int, blockFault) {
+	pcs := c.pc[base : base+nrec]
+	targets := c.target[base : base+nrec]
+	instrs := c.instrBefore[base : base+nrec]
+	typs := c.typ[base : base+nrec]
 	var prevPC uint64
 	off := 0
 	for i := 0; i < nrec; i++ {
 		if off >= len(data) {
-			return nil, fmt.Errorf("%w: block truncated at record %d", ErrSpillMismatch, i)
+			return i, faultTruncated
 		}
 		header := data[off]
 		off++
-		var rec Record
-		rec.Type = BranchType(header & 0x7)
-		rec.Taken = header&(1<<3) != 0
-		ib, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad instr count at block record %d", ErrSpillMismatch, i)
+		typ := header & 0x7
+		taken := header&(1<<3) != 0
+		if typ >= numBranchTypes {
+			return i, faultBadType
 		}
-		off += n
+		if !taken && typ != uint8(CondDirect) {
+			return i, faultNotTaken
+		}
+		ib, n := uvarintFast(data, off)
+		if n <= 0 {
+			return i, faultInstrVarint
+		}
 		if ib > uint64(^uint32(0)) {
-			return nil, fmt.Errorf("%w: instr count %d overflows at block record %d", ErrSpillMismatch, ib, i)
-		}
-		rec.InstrBefore = uint32(ib)
-		pcDelta, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad pc at block record %d", ErrSpillMismatch, i)
+			return i, faultInstrOverflow
 		}
 		off += n
-		rec.PC = pcDelta ^ prevPC
-		tgtDelta, n := binary.Uvarint(data[off:])
+		pcDelta, n := uvarintFast(data, off)
 		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad target at block record %d", ErrSpillMismatch, i)
+			return i, faultPCVarint
 		}
 		off += n
-		rec.Target = tgtDelta ^ rec.PC
-		if err := rec.Validate(); err != nil {
-			return nil, fmt.Errorf("trace: block record %d: %w", i, err)
+		pc := pcDelta ^ prevPC
+		tgtDelta, n := uvarintFast(data, off)
+		if n <= 0 {
+			return i, faultTargetVarint
 		}
-		prevPC = rec.PC
-		dst = append(dst, rec)
+		off += n
+		pcs[i] = pc
+		targets[i] = tgtDelta ^ pc
+		instrs[i] = uint32(ib)
+		typs[i] = typ
+		if taken {
+			j := uint(base + i)
+			c.taken[j>>6] |= 1 << (j & 63)
+		}
+		prevPC = pc
 	}
 	if off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes in block", ErrSpillMismatch, len(data)-off)
+		return nrec, faultTrailing
 	}
-	return dst, nil
+	return nrec, blockOK
+}
+
+// uvarintFast is binary.Uvarint with an inlined single-byte fast path:
+// trace deltas are overwhelmingly one byte (XOR of consecutive loop PCs),
+// so the common case avoids the call and its loop setup entirely. Returns
+// n <= 0 exactly when binary.Uvarint would (truncated or oversized varint).
+func uvarintFast(data []byte, off int) (uint64, int) {
+	if off < len(data) {
+		if b := data[off]; b < 0x80 {
+			return uint64(b), 1
+		}
+	}
+	return binary.Uvarint(data[off:])
+}
+
+// fnv64a is an allocation-free FNV-64a over data (hash/fnv's New64a forces
+// a heap allocation per hasher; the decoder sums one block at a time).
+//
+//blbp:hot
+func fnv64a(data []byte) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, b := range data {
+		h = (h ^ uint64(b)) * prime64
+	}
+	return h
 }

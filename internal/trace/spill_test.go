@@ -1,9 +1,16 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -15,23 +22,35 @@ func spillTestTrace() *Trace {
 	return t
 }
 
-func TestSpillRoundTrip(t *testing.T) {
-	tr := spillTestTrace()
-	want := SpillHeader{Name: tr.Name, Seed: -42, Instructions: 9001}
-	var buf bytes.Buffer
-	if err := WriteSpill(&buf, want, tr); err != nil {
+// writeSpill encodes t's columns under header h.
+func writeSpill(t *testing.T, w io.Writer, h SpillHeader, tr *Trace) {
+	t.Helper()
+	if err := WriteSpillColumns(w, h, tr.Columns()); err != nil {
 		t.Fatal(err)
 	}
-	h, got, err := ReadSpill(bytes.NewReader(buf.Bytes()))
+}
+
+// readSpill decodes a trace file into record-slice form.
+func readSpill(data []byte) (SpillHeader, *Trace, error) {
+	h, c, err := ReadSpillColumns(bytes.NewReader(data))
+	if err != nil {
+		return h, nil, err
+	}
+	return h, c.Trace(), nil
+}
+
+func TestSpillRoundTrip(t *testing.T) {
+	tr := spillTestTrace()
+	want := SpillHeader{Name: tr.Name, Seed: -42, Instructions: 9001, Fingerprint: 0xfeedface}
+	var buf bytes.Buffer
+	writeSpill(t, &buf, want, tr)
+	h, got, err := readSpill(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Name != want.Name || h.Seed != want.Seed || h.Instructions != want.Instructions {
-		t.Errorf("identity = %q/%d/%d, want %q/%d/%d",
-			h.Name, h.Seed, h.Instructions, want.Name, want.Seed, want.Instructions)
-	}
-	if h.Records != int64(len(tr.Records)) {
-		t.Errorf("header records = %d, want %d", h.Records, len(tr.Records))
+	want.Records = int64(len(tr.Records))
+	if h != want {
+		t.Errorf("header = %+v, want %+v", h, want)
 	}
 	if got.Name != tr.Name || len(got.Records) != len(tr.Records) {
 		t.Fatalf("payload shape %q/%d, want %q/%d", got.Name, len(got.Records), tr.Name, len(tr.Records))
@@ -46,14 +65,12 @@ func TestSpillRoundTrip(t *testing.T) {
 func TestReadSpillHeaderOnly(t *testing.T) {
 	tr := spillTestTrace()
 	var buf bytes.Buffer
-	if err := WriteSpill(&buf, SpillHeader{Name: tr.Name, Seed: 7, Instructions: 500}, tr); err != nil {
-		t.Fatal(err)
-	}
+	writeSpill(t, &buf, SpillHeader{Name: tr.Name, Seed: 7, Instructions: 500, Fingerprint: 9}, tr)
 	h, err := ReadSpillHeader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Name != tr.Name || h.Seed != 7 || h.Instructions != 500 || h.Records != int64(len(tr.Records)) {
+	if h.Name != tr.Name || h.Seed != 7 || h.Instructions != 500 || h.Fingerprint != 9 || h.Records != int64(len(tr.Records)) {
 		t.Errorf("header = %+v", h)
 	}
 }
@@ -79,10 +96,8 @@ func bigSpillTrace(records int) *Trace {
 func TestSpillRoundTripMultiBlock(t *testing.T) {
 	tr := bigSpillTrace(3*spillBlockRecords + 17)
 	var buf bytes.Buffer
-	if err := WriteSpill(&buf, SpillHeader{Name: tr.Name, Seed: 5, Instructions: 1e6}, tr); err != nil {
-		t.Fatal(err)
-	}
-	h, got, err := ReadSpill(bytes.NewReader(buf.Bytes()))
+	writeSpill(t, &buf, SpillHeader{Name: tr.Name, Seed: 5, Instructions: 1e6}, tr)
+	h, got, err := readSpill(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,44 +109,109 @@ func TestSpillRoundTripMultiBlock(t *testing.T) {
 			t.Fatalf("record %d differs after multi-block round trip", i)
 		}
 	}
-}
-
-// TestSpillV1ReadFallback: files written in the legacy whole-payload format
-// must keep decoding, so old spill directories still warm-start new runs.
-func TestSpillV1ReadFallback(t *testing.T) {
-	tr := spillTestTrace()
-	want := SpillHeader{Name: tr.Name, Seed: -42, Instructions: 9001}
-	var buf bytes.Buffer
-	if err := WriteSpillV1(&buf, want, tr); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ReadSpillHeader(bytes.NewReader(buf.Bytes()))
+	// The reference decoder reads the same bytes to the same records.
+	_, ref, err := readSpillRecords(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if h.Name != want.Name || h.Seed != want.Seed || h.Instructions != want.Instructions {
-		t.Errorf("v1 header identity = %+v, want %+v", h, want)
-	}
-	if h.Checksum == 0 {
-		t.Error("v1 header checksum missing")
-	}
-	h2, got, err := ReadSpill(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2 != h {
-		t.Errorf("full read header %+v differs from probe %+v", h2, h)
 	}
 	for i := range tr.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Errorf("record %d differs after v1 round trip", i)
+		if ref.Records[i] != tr.Records[i] {
+			t.Fatalf("reference decoder: record %d differs", i)
 		}
 	}
-	// Corruption in the v1 payload must still be caught by its checksum.
-	data := append([]byte(nil), buf.Bytes()...)
-	data[len(data)-1] ^= 0x40
-	if _, _, err := ReadSpill(bytes.NewReader(data)); !errors.Is(err, ErrSpillMismatch) {
-		t.Errorf("corrupt v1 payload error = %v, want ErrSpillMismatch", err)
+}
+
+// goldenRecords parses testdata/golden-mono.records: a comment line with
+// the workload identity, then one "pc target instr type taken" line per
+// record (hex, hex, decimal, decimal, 0/1).
+func goldenRecords(t *testing.T) (SpillHeader, []Record) {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "golden-mono.records"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var h SpillHeader
+	var recs []Record
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "# golden") {
+			if _, err := fmt.Sscanf(line, "# %s seed=%d instructions=%d fingerprint=%x records=%d",
+				&h.Name, &h.Seed, &h.Instructions, &h.Fingerprint, &h.Records); err != nil {
+				t.Fatalf("identity line %q: %v", line, err)
+			}
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		var r Record
+		var typ, taken int
+		if _, err := fmt.Sscanf(line, "%x %x %d %d %d", &r.PC, &r.Target, &r.InstrBefore, &typ, &taken); err != nil {
+			t.Fatalf("record line %q: %v", line, err)
+		}
+		r.Type, r.Taken = BranchType(typ), taken == 1
+		recs = append(recs, r)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if h.Name == "" || int64(len(recs)) != h.Records {
+		t.Fatalf("golden listing: identity %+v with %d records", h, len(recs))
+	}
+	return h, recs
+}
+
+// TestGoldenSPL3 pins the wire format: the golden file was written by an
+// earlier revision's encoder from a fixed mono workload, and the current
+// writer must reproduce it byte for byte while the reader decodes it to
+// the recorded records.
+func TestGoldenSPL3(t *testing.T) {
+	want, recs := goldenRecords(t)
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden-mono.spl3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trace{Name: want.Name, Records: recs}
+	var buf bytes.Buffer
+	writeSpill(t, &buf, want, tr)
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Errorf("WriteSpillColumns: %d bytes differ from the %d-byte golden file", buf.Len(), len(golden))
+	}
+	h, got, err := readSpill(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != want {
+		t.Errorf("golden header = %+v, want %+v", h, want)
+	}
+	if len(got.Records) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(got.Records), len(recs))
+	}
+	for i := range recs {
+		if got.Records[i] != recs[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got.Records[i], recs[i])
+		}
+	}
+}
+
+// TestGoldenLegacyFormatsRejected: files in the retired formats (spill
+// SPL1 and SPL2, the bare BLBPTRC1 trace format), written by an earlier
+// revision from the same workload as the SPL3 golden, are not trace files
+// any more. Both the header probe and the full reader say so.
+func TestGoldenLegacyFormatsRejected(t *testing.T) {
+	for _, name := range []string{"golden-mono.spl1", "golden-mono.spl2", "golden-mono.trc"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadSpillHeader(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillMagic) {
+			t.Errorf("%s: header probe error = %v, want ErrBadSpillMagic", name, err)
+		}
+		if _, _, err := ReadSpillColumns(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillMagic) {
+			t.Errorf("%s: reader error = %v, want ErrBadSpillMagic", name, err)
+		}
 	}
 }
 
@@ -140,27 +220,25 @@ func TestSpillV1ReadFallback(t *testing.T) {
 func TestSpillBlockCorruption(t *testing.T) {
 	tr := bigSpillTrace(3 * spillBlockRecords)
 	var buf bytes.Buffer
-	if err := WriteSpill(&buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr); err != nil {
-		t.Fatal(err)
-	}
+	writeSpill(t, &buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr)
 	data := append([]byte(nil), buf.Bytes()...)
 	data[len(data)/2] ^= 0x01
-	if _, _, err := ReadSpill(bytes.NewReader(data)); !errors.Is(err, ErrSpillMismatch) {
+	if _, _, err := readSpill(data); !errors.Is(err, ErrSpillMismatch) {
 		t.Errorf("corrupt block error = %v, want ErrSpillMismatch", err)
 	}
 }
 
 func TestReadSpillRejectsBarePayload(t *testing.T) {
-	// The pre-header spill format was a bare BLBPTRC1 payload; it must be
-	// recognizable as not-a-spill so caches can prune stale files.
-	var buf bytes.Buffer
-	if err := Write(&buf, spillTestTrace()); err != nil {
+	// The pre-header trace format was a bare BLBPTRC1 payload; it must be
+	// recognizable as not-a-trace-file so caches can prune stale files.
+	data, err := os.ReadFile(filepath.Join("testdata", "golden-mono.trc"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadSpill(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadSpillMagic) {
+	if _, _, err := readSpill(data); !errors.Is(err, ErrBadSpillMagic) {
 		t.Errorf("bare payload error = %v, want ErrBadSpillMagic", err)
 	}
-	if _, err := ReadSpillHeader(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadSpillMagic) {
+	if _, err := ReadSpillHeader(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillMagic) {
 		t.Errorf("header probe error = %v, want ErrBadSpillMagic", err)
 	}
 }
@@ -168,14 +246,12 @@ func TestReadSpillRejectsBarePayload(t *testing.T) {
 func TestReadSpillDetectsCorruptPayload(t *testing.T) {
 	tr := spillTestTrace()
 	var buf bytes.Buffer
-	if err := WriteSpill(&buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr); err != nil {
-		t.Fatal(err)
-	}
+	writeSpill(t, &buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr)
 	data := buf.Bytes()
 	// Flip one bit in the last payload byte; the checksum must catch it
 	// even if the payload still happens to decode.
 	data[len(data)-1] ^= 0x40
-	if _, _, err := ReadSpill(bytes.NewReader(data)); !errors.Is(err, ErrSpillMismatch) {
+	if _, _, err := readSpill(data); !errors.Is(err, ErrSpillMismatch) {
 		t.Errorf("corrupt payload error = %v, want ErrSpillMismatch", err)
 	}
 }
@@ -183,12 +259,10 @@ func TestReadSpillDetectsCorruptPayload(t *testing.T) {
 func TestReadSpillDetectsTruncation(t *testing.T) {
 	tr := spillTestTrace()
 	var buf bytes.Buffer
-	if err := WriteSpill(&buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr); err != nil {
-		t.Fatal(err)
-	}
+	writeSpill(t, &buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr)
 	data := buf.Bytes()
 	for cut := len(data) - 1; cut > len(data)-6; cut-- {
-		if _, _, err := ReadSpill(bytes.NewReader(data[:cut])); err == nil {
+		if _, _, err := readSpill(data[:cut]); err == nil {
 			t.Errorf("truncation at %d/%d bytes accepted", cut, len(data))
 		}
 	}
@@ -213,10 +287,88 @@ func TestReadSpillEmpty(t *testing.T) {
 	}
 }
 
-func benchSpillDecode(b *testing.B, write func(io.Writer, SpillHeader, *Trace) error) {
+// oversizedBlockFile is a valid header claiming records records, all in
+// one block of the largest size the per-record bound allows, with no
+// payload behind it.
+func oversizedBlockFile(records uint64) []byte {
+	data := append([]byte(nil), spillMagic[:]...)
+	data = append(data, 0)       // empty name
+	data = append(data, 0, 0, 0) // seed, instructions, fingerprint
+	data = binary.AppendUvarint(data, records)
+	data = binary.AppendUvarint(data, records) // one block holding them all
+	data = binary.AppendUvarint(data, records*maxSpillRecordLen)
+	return append(data, make([]byte, 8)...) // checksum; the payload is missing
+}
+
+// TestSpillOversizedBlockRejected: a 32-byte file whose single block claims
+// 2^22 records used to make the decoder allocate the whole ~105 MiB block
+// buffer before reading a payload byte (and ~111 GB at the 2^32 header
+// limit, a fatal out-of-memory). The writer never emits more than
+// spillBlockRecords per block, so such a block is corruption: the decoder
+// must say so and allocate next to nothing.
+func TestSpillOversizedBlockRejected(t *testing.T) {
+	for _, records := range []uint64{spillBlockRecords + 1, 1 << 22, 1 << 32} {
+		data := oversizedBlockFile(records)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadSpillColumns(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrSpillMismatch) {
+			t.Errorf("%d-byte file, block of %d records: error = %v, want ErrSpillMismatch", len(data), records, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%d-byte file, block of %d records: decoder allocated %d bytes, want < 1 MB", len(data), records, d)
+		}
+		if _, _, err := readSpillRecords(bytes.NewReader(data)); !errors.Is(err, ErrSpillMismatch) {
+			t.Errorf("reference decoder, block of %d records: error = %v, want ErrSpillMismatch", records, err)
+		}
+	}
+}
+
+// TestBlockFaultsMatchReference feeds hand-made malformed blocks, one per
+// fault cause, to both block decoders: they must reject each at the same
+// record, and accept the well-formed control.
+func TestBlockFaultsMatchReference(t *testing.T) {
+	rec := func(header byte, ib, pc, tgt uint64) []byte {
+		b := []byte{header}
+		b = binary.AppendUvarint(b, ib)
+		b = binary.AppendUvarint(b, pc)
+		return binary.AppendUvarint(b, tgt)
+	}
+	good := rec(byte(CondDirect)|1<<3, 3, 0x400000, 0x20)
+	cases := []struct {
+		name  string
+		data  []byte
+		nrec  int
+		fault blockFault
+	}{
+		{"ok", append(append([]byte(nil), good...), good...), 2, blockOK},
+		{"truncated", good, 2, faultTruncated},
+		{"instr varint", append(append([]byte(nil), good...), 0x08, 0x80), 2, faultInstrVarint},
+		{"instr overflow", rec(0x08, 1<<32, 1, 1), 1, faultInstrOverflow},
+		{"pc varint", []byte{0x08, 0x01, 0x80}, 1, faultPCVarint},
+		{"target varint", []byte{0x08, 0x01, 0x01, 0x80}, 1, faultTargetVarint},
+		{"bad type", rec(0x0F, 1, 1, 1), 1, faultBadType},
+		{"not taken", append(append([]byte(nil), good...), rec(byte(IndirectJump), 1, 1, 1)...), 2, faultNotTaken},
+		{"trailing", append(append([]byte(nil), good...), 0), 1, faultTrailing},
+	}
+	for _, tc := range cases {
+		c := NewColumns("block", tc.nrec)
+		c.setLen(tc.nrec)
+		if _, fault := decodeBlockColumns(c, 0, tc.data, tc.nrec); fault != tc.fault {
+			t.Errorf("%s: fault %v, want %v", tc.name, fault, tc.fault)
+		}
+		if err := decodeBlockBoth(tc.data, tc.nrec); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+func BenchmarkReadSpill(b *testing.B) {
 	tr := bigSpillTrace(200_000)
 	var buf bytes.Buffer
-	if err := write(&buf, SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}, tr); err != nil {
+	if err := WriteSpillColumns(&buf, SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}, tr.Columns()); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -224,11 +376,10 @@ func benchSpillDecode(b *testing.B, write func(io.Writer, SpillHeader, *Trace) e
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, got, err := ReadSpill(bytes.NewReader(data)); err != nil || len(got.Records) != len(tr.Records) {
-			b.Fatalf("decode: %v (%d records)", err, len(got.Records))
+		_, got, err := ReadSpillColumns(bytes.NewReader(data))
+		if err != nil || got.Len() != len(tr.Records) {
+			b.Fatalf("decode: %v", err)
 		}
+		ReleaseColumns(got)
 	}
 }
-
-func BenchmarkReadSpill(b *testing.B)   { benchSpillDecode(b, WriteSpill) }
-func BenchmarkReadSpillV1(b *testing.B) { benchSpillDecode(b, WriteSpillV1) }

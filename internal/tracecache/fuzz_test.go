@@ -17,7 +17,7 @@ func fuzzSeedFile(f *testing.F) []byte {
 	tr.Append(trace.Record{PC: 0x400000, Target: 0x400020, InstrBefore: 3, Type: trace.CondDirect, Taken: true})
 	tr.Append(trace.Record{PC: 0x400100, Target: 0x7f0000, InstrBefore: 12, Type: trace.IndirectCall, Taken: true})
 	var buf bytes.Buffer
-	if err := trace.WriteSpill(&buf, trace.SpillHeader{Name: "seed", Seed: 11, Instructions: 4_000}, tr); err != nil {
+	if err := trace.WriteSpillColumns(&buf, trace.SpillHeader{Name: "seed", Seed: 11, Instructions: 4_000, Fingerprint: 5}, tr.Columns()); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
@@ -34,15 +34,9 @@ func FuzzSpillDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)-1]) // truncated payload
 	f.Add(valid[:12])           // truncated header
-	// The pre-header format: a bare trace payload. Must be rejected as
-	// not-a-spill, never decoded as one.
-	var bare bytes.Buffer
-	bareTr := &trace.Trace{Name: "bare"}
-	bareTr.Append(trace.Record{PC: 0x400000, Target: 0x400020, InstrBefore: 1, Type: trace.CondDirect, Taken: true})
-	if err := trace.Write(&bare, bareTr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bare.Bytes())
+	// The retired bare trace format (BLBPTRC1 magic, name, one record).
+	// Must be rejected as not-a-spill, never decoded as one.
+	f.Add([]byte("BLBPTRC1\x04bare\x01\x08\x01\x80\x80\x80\x02\x20"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "fuzz"+spillExt)
@@ -62,7 +56,7 @@ func FuzzSpillDecode(f *testing.F) {
 		}
 		// A loaded spill must be re-spillable under its header identity and
 		// reload identically through the full identity-validated path.
-		id := workload.Identity{Name: h.Name, Seed: h.Seed, Instructions: h.Instructions}
+		id := workload.Identity{Name: h.Name, Seed: h.Seed, Instructions: h.Instructions, Fingerprint: h.Fingerprint}
 		again := filepath.Join(dir, "again"+spillExt)
 		if err := writeSpill(again, id, got); err != nil {
 			t.Fatalf("re-spill of a loaded trace failed: %v", err)

@@ -12,7 +12,8 @@
 //
 // Spill files are a persistent cache tier, not just eviction overflow.
 // Each file is self-describing — a trace.SpillHeader carrying the full
-// workload identity, record count, and payload checksum — and is written
+// workload identity and record count, ahead of checksummed record blocks
+// (the one trace file format; see internal/trace) — and is written
 // via temp file + rename so a crash never leaves a decodable-but-truncated
 // file at a canonical name. A cache whose Config names a SpillDir indexes
 // the directory's existing files at construction (Preload), so Get serves
@@ -210,10 +211,10 @@ func (e *Entry) Tape() (*sim.Tape, error) {
 // running the generator — even identities never evicted (or built) in this
 // process. New calls it on Config.SpillDir; call it directly to adopt
 // files from an additional directory. Files with the spill extension that
-// do not parse as spill files (the pre-header format, truncated crash
-// leftovers) are remembered as stale and pruned by Close when KeepSpill is
-// set. Identities already live or already indexed are skipped. Returns the
-// number of identities indexed.
+// do not parse as spill files (retired earlier formats, truncated crash
+// leftovers) count as spill errors and are remembered as stale, for Close
+// to prune when KeepSpill is set. Identities already live or already
+// indexed are skipped. Returns the number of identities indexed.
 func (c *Cache) Preload(dir string) int {
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -240,7 +241,7 @@ func (c *Cache) Preload(dir string) int {
 			c.mu.Unlock()
 			continue
 		}
-		id := workload.Identity{Name: h.Name, Seed: h.Seed, Instructions: h.Instructions, Fingerprint: h.Fingerprint}
+		id := headerID(h)
 		c.mu.Lock()
 		_, live := c.entries[id]
 		_, indexed := c.spilled[id]
@@ -272,23 +273,11 @@ func (c *Cache) Get(spec workload.Spec) *Entry {
 		return e
 	}
 	e = &Entry{id: id}
-	spillID := id
-	spillPath := c.spilled[spillID]
-	if spillPath == "" && id.Fingerprint != 0 {
-		// Pre-fingerprint spill files (SPL1/SPL2 headers) index under
-		// fingerprint 0. Fall back to that identity so spill directories
-		// written before the fingerprint field keep warm-starting runs;
-		// loadSpill still verifies name/seed/budget against the header.
-		legacy := id
-		legacy.Fingerprint = 0
-		if p := c.spilled[legacy]; p != "" {
-			spillID, spillPath = legacy, p
-		}
-	}
-	fromPreload := c.preloaded[spillID]
+	spillPath := c.spilled[id]
+	fromPreload := c.preloaded[id]
 	e.build = func() {
 		if spillPath != "" {
-			if cols, err := loadSpill(spillPath, spillID); err == nil {
+			if cols, err := loadSpill(spillPath, id); err == nil {
 				c.spillLoads.Add(1)
 				if fromPreload {
 					c.preloadHits.Add(1)
@@ -300,9 +289,9 @@ func (c *Cache) Get(spec workload.Spec) *Entry {
 				c.spillFailure(fmt.Errorf("loading spill for %s: %w", id.Name, err))
 				os.Remove(spillPath)
 				c.mu.Lock()
-				if c.spilled[spillID] == spillPath {
-					delete(c.spilled, spillID)
-					delete(c.preloaded, spillID)
+				if c.spilled[id] == spillPath {
+					delete(c.spilled, id)
+					delete(c.preloaded, id)
 				}
 				c.mu.Unlock()
 			}
@@ -437,20 +426,22 @@ func readSpillFile(path string) (trace.SpillHeader, *trace.Columns, error) {
 	return trace.ReadSpillColumns(f)
 }
 
+// headerID is the workload identity a spill header records.
+func headerID(h trace.SpillHeader) workload.Identity {
+	return workload.Identity{Name: h.Name, Seed: h.Seed, Instructions: h.Instructions, Fingerprint: h.Fingerprint}
+}
+
 // loadSpill decodes the spill file at path and verifies it really is the
 // requested identity — name, seed, instruction budget, and parameter
-// fingerprint from the header, with the checksum and record count checked
-// against the payload by trace.ReadSpillColumns. A header fingerprint of 0
-// (a pre-SPL3 file, or a legacy-fallback request) matches any request: such
-// files predate the field, and name/seed/budget were the whole identity
-// when they were written. A bare file-name match is never sufficient.
+// fingerprint from the header, with the checksums and record count checked
+// against the payload by trace.ReadSpillColumns. A bare file-name match is
+// never sufficient.
 func loadSpill(path string, id workload.Identity) (*trace.Columns, error) {
 	h, cols, err := readSpillFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if h.Name != id.Name || h.Seed != id.Seed || h.Instructions != id.Instructions ||
-		(h.Fingerprint != 0 && id.Fingerprint != 0 && h.Fingerprint != id.Fingerprint) {
+	if headerID(h) != id {
 		trace.ReleaseColumns(cols)
 		return nil, fmt.Errorf("tracecache: spill %s holds %s/%d/%d/%016x, want %s/%d/%d/%016x (stale or colliding file)",
 			filepath.Base(path), h.Name, h.Seed, h.Instructions, h.Fingerprint, id.Name, id.Seed, id.Instructions, id.Fingerprint)
@@ -496,10 +487,12 @@ func (c *Cache) Close() {
 		stale := c.stale
 		c.stale = nil
 		c.mu.Unlock()
-		c.spill(flush)
+		// Prune before flushing: a stale file (an older format, say) can sit
+		// at the very name the flush is about to publish.
 		for _, path := range stale {
 			os.Remove(path)
 		}
+		c.spill(flush)
 		if tmps, err := filepath.Glob(filepath.Join(c.cfg.SpillDir, tempPattern)); err == nil {
 			for _, tmp := range tmps {
 				os.Remove(tmp)

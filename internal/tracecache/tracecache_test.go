@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"blbp/internal/trace"
 	"blbp/internal/workload"
 )
 
@@ -434,43 +433,52 @@ func TestPreloadSurfacesCorruptFiles(t *testing.T) {
 	}
 }
 
-// TestLegacySpillWithoutFingerprintWarmStarts pins the header-format
-// fallback: a spill file written before SPL3 (no fingerprint field, so the
-// header reports fingerprint 0) must still warm-start a Get whose identity
-// carries a nonzero parameter fingerprint — zero builds, served from disk.
-func TestLegacySpillWithoutFingerprintWarmStarts(t *testing.T) {
+// TestLegacySpillCostsOneRebuild: the spill tier reads one format. A file
+// an older revision spilled in the retired SPL2 format (the golden file in
+// internal/trace/testdata, written for this very spec) costs one rebuild:
+// Preload counts it as a spill error, Get builds, and Close replaces it
+// with a current file, so the next run warm-starts with no build at all.
+func TestLegacySpillCostsOneRebuild(t *testing.T) {
 	dir := t.TempDir()
-	spec := testSpec("legacy-warm", 5_000)
-	if spec.Identity().Fingerprint == 0 {
-		t.Fatal("test spec should carry a parameter fingerprint")
-	}
-	cols := spec.BuildColumns()
-	// Write the file as an older process would have: SPL2, no fingerprint.
-	h := trace.SpillHeader{Name: spec.Name, Seed: spec.Seed, Instructions: spec.Instructions}
-	f, err := os.Create(filepath.Join(dir, "legacy"+spillExt))
+	spec := workload.MonoSpec("golden-mono", "T", 2000, workload.MonoParams{Sites: 4, Work: 10})
+	legacy, err := os.ReadFile(filepath.Join("..", "trace", "testdata", "golden-mono.spl2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteSpillV2(f, h, cols.Trace()); err != nil {
+	// The old file sits at the very name the flush publishes.
+	path := filepath.Join(dir, spillName(spec.Identity()))
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
-	c := New(Config{SpillDir: dir, KeepSpill: true})
-	defer c.Close()
-	got := c.Get(spec).Columns()
-	st := c.Stats()
-	if st.Builds != 0 {
-		t.Errorf("builds = %d, want 0 (legacy spill should warm-start)", st.Builds)
+	c1 := New(Config{SpillDir: dir, KeepSpill: true})
+	want := c1.Get(spec).Columns()
+	if st := c1.Stats(); st.SpillErrors != 1 || st.Builds != 1 || st.SpillLoads != 0 {
+		t.Errorf("legacy run: spill errors/builds/loads = %d/%d/%d, want 1/1/0", st.SpillErrors, st.Builds, st.SpillLoads)
 	}
-	if st.SpillLoads != 1 || st.PreloadHits != 1 {
-		t.Errorf("spill loads/preload hits = %d/%d, want 1/1", st.SpillLoads, st.PreloadHits)
+	c1.Close()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Len() != cols.Len() {
-		t.Fatalf("loaded %d records, built %d", got.Len(), cols.Len())
+	if len(des) != 1 || des[0].Name() != filepath.Base(path) {
+		t.Fatalf("after Close the spill dir holds %v, want only %s", des, filepath.Base(path))
+	}
+	if h, err := readSpillHeaderFile(path); err != nil || h.Fingerprint != spec.Identity().Fingerprint {
+		t.Fatalf("flushed file header %+v, %v; want the spec's identity", h, err)
+	}
+
+	c2 := New(Config{SpillDir: dir, KeepSpill: true})
+	defer c2.Close()
+	got := c2.Get(spec).Columns()
+	if st := c2.Stats(); st.Builds != 0 || st.SpillErrors != 0 || st.PreloadHits != 1 {
+		t.Errorf("next run: builds/spill errors/preload hits = %d/%d/%d, want 0/0/1", st.Builds, st.SpillErrors, st.PreloadHits)
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("loaded %d records, built %d", got.Len(), want.Len())
 	}
 	for i := 0; i < got.Len(); i++ {
-		if got.Record(i) != cols.Record(i) {
+		if got.Record(i) != want.Record(i) {
 			t.Fatalf("record %d differs from generator output", i)
 		}
 	}

@@ -140,8 +140,8 @@ type Spec struct {
 	// specs with equal Name, Seed and Instructions but different generator
 	// parameters — possible once specs are user-authored data — carry
 	// different fingerprints, so caches never serve one the other's trace.
-	// Zero means "unknown" (pre-fingerprint spill files decode to it); the
-	// cache treats zero as a legacy wildcard on load, never on write.
+	// Zero is an ordinary value (a trace written by blbp.WriteTrace, which
+	// has no generator, carries it); caches match fingerprints exactly.
 	Fingerprint uint64
 	// build constructs the workload's models.
 	build func(rng *rand.Rand) Model

@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: lint (vet + blbplint), suppression/exceptions audit, autofix
 # smoke, build, race-enabled tests, fuzz smoke, batch-engine smoke,
-# warm-start, run-plan, and workload-spec round-trip smokes, and a strict
-# gofmt -s check. Run from the repository root (or `make ci`).
+# snapshot, trace-file, warm-start, run-plan, and workload-spec round-trip
+# smokes, and a strict gofmt -s check. Run from the repository root (or
+# `make ci`).
 set -eux
 
 make lint
@@ -40,8 +41,8 @@ go test -fuzz FuzzColumnarEquivalence -fuzztime 5s -run xxx ./internal/sim/
 go test -fuzz FuzzSnapshotRoundTrip -fuzztime 5s -run xxx ./internal/sim/
 go test -fuzz FuzzHashedPerceptronEquivalence -fuzztime 5s -run xxx ./internal/cond/
 # Columnar differential smoke: the seed-corpus differential (record-slice
-# reference vs columnar replay, tape replay, and the columnar spill round
-# trip) must hold without the fuzz engine.
+# reference vs columnar replay and tape replay) must hold without the fuzz
+# engine.
 go test -run 'TestColumnarEquivalenceSeeds' -count 1 ./internal/sim/
 # Batch-engine smoke: run the cmd/bench batch section at widths 1 and 64,
 # check each width served exactly as many predictions as the serial
@@ -68,6 +69,26 @@ go run ./cmd/blbpsim -workload 400.perlbench-1 -base 40000 \
 	-csv "$sdir/resumed.csv" >/dev/null
 diff "$sdir/full.csv" "$sdir/resumed.csv"
 rm -rf "$sdir"
+# Trace-file smoke: the file tracegen writes is the one trace format, so it
+# must replay to the workload's own numbers through blbpsim -trace and
+# through a workload-spec replay node: byte-identical CSVs, and identical
+# tables (whose title names the trace).
+tdir=$(mktemp -d)
+go run ./cmd/tracegen gen -workload 400.perlbench-1 -base 40000 \
+	-out "$tdir/f.trc" >/dev/null
+printf '{"name": "400.perlbench-1", "generator": {"kind": "replay", "path": "%s"}}\n' \
+	"$tdir/f.trc" >"$tdir/replay.json"
+go run ./cmd/blbpsim -trace "$tdir/f.trc" -csv "$tdir/trace.csv" >"$tdir/trace.txt"
+go run ./cmd/blbpsim -workload-spec "$tdir/replay.json" \
+	-csv "$tdir/spec.csv" >"$tdir/spec.txt"
+go run ./cmd/blbpsim -workload 400.perlbench-1 -base 40000 \
+	-csv "$tdir/direct.csv" >"$tdir/direct.txt"
+diff "$tdir/direct.csv" "$tdir/trace.csv"
+diff "$tdir/direct.csv" "$tdir/spec.csv"
+diff "$tdir/direct.txt" "$tdir/trace.txt"
+diff "$tdir/direct.txt" "$tdir/spec.txt"
+grep -q '^Simulation of 400.perlbench-1 ' "$tdir/direct.txt"
+rm -rf "$tdir"
 # Warm-start smoke: a second experiments run against a kept spill directory
 # must serve every trace from disk (0 generator builds) and emit
 # byte-identical CSVs. The warm run decodes its spill files through the
