@@ -253,8 +253,9 @@ func measureSimRun(name string, tr *blbp.Trace, reps int) (Entry, error) {
 // shape of one cmd/experiments pass (ITTAGE + BLBP over a shared hashed
 // perceptron).
 func suitePass() experiments.Pass {
-	return experiments.Shared(experiments.CondKeyHP, func() (blbp.ConditionalPredictor, []blbp.IndirectPredictor) {
-		return blbp.NewHashedPerceptron(), []blbp.IndirectPredictor{
+	newCond := func() blbp.ConditionalPredictor { return blbp.NewHashedPerceptron() }
+	return experiments.Shared(experiments.CondKeyHP, newCond, func() []blbp.IndirectPredictor {
+		return []blbp.IndirectPredictor{
 			blbp.NewITTAGE(blbp.DefaultITTAGEConfig()),
 			blbp.NewBLBP(blbp.DefaultBLBPConfig()),
 		}

@@ -39,15 +39,18 @@
 //	                or -cachekeep asks for one), removed on exit unless
 //	                -cachekeep
 //	-cachekeep      keep the spill directory at exit, flushing every built
-//	                trace to it, so the next run warm-starts from it
-//	-cachestats     print trace-cache counters to stderr at the end
+//	                trace and every new conditional-side count to it, so
+//	                the next run warm-starts from it
+//	-cachestats     print trace-cache, conditional-count and result-memo
+//	                counters to stderr at the end
 //	-cpuprofile F   write a CPU profile to F
 //	-memprofile F   write an allocation profile to F at exit
 //
 // All experiments of one invocation share a single trace cache, worker
 // pool, and plan executor, so each workload's trace is built exactly once
-// and identical (suite, passes) combinations — e.g. overall/fig8/fig9 —
-// are simulated once no matter how many plans reuse them.
+// and each predictor configuration is simulated once per trace, no matter
+// how many plans reuse it (overall/fig8/fig9 share everything; fig11's
+// assoc-64 and ITTAGE come from fig10).
 package main
 
 import (
@@ -98,7 +101,7 @@ func run(args []string) error {
 	cacheMB := fs.Int64("cachemb", 0, "trace-cache budget in MiB (0 = unbounded)")
 	cacheSpill := fs.String("cachespill", "", "spill directory for the trace cache's persistent tier (default: per-process temp dir)")
 	cacheKeep := fs.Bool("cachekeep", false, "keep the spill directory at exit for a later warm start")
-	cacheStats := fs.Bool("cachestats", false, "print trace-cache counters to stderr at the end")
+	cacheStats := fs.Bool("cachestats", false, "print trace-cache, conditional-count and result-memo counters to stderr at the end")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -214,8 +217,17 @@ func run(args []string) error {
 	runner := experiments.NewRunnerConfig(*parallel, cacheCfg)
 	cache := runner.Cache()
 	// Registered before runner.Close so it runs after it: the KeepSpill
-	// flush happens inside Close, and its errors must still be reported.
+	// flush (traces and conditional counts) happens inside Close, and its
+	// errors and writes must still be reported.
+	var atClose tracecache.Stats // the counters just before Close empties the cache
 	defer func() {
+		if *cacheStats {
+			st := cache.Stats()
+			st.LiveBytes = atClose.LiveBytes
+			fmt.Fprintf(os.Stderr, "trace cache: %s\n", st)
+			m := runner.MemoStats()
+			fmt.Fprintf(os.Stderr, "result memo: %d hits, %d stored\n", m.Hits, m.Stored)
+		}
 		if n := cache.Stats().SpillErrors; n > 0 {
 			fmt.Fprintf(os.Stderr, "experiments: WARNING: %d trace-cache spill error(s); some traces were rebuilt or not persisted (details on first occurrence above)\n", n)
 		}
@@ -228,9 +240,7 @@ func run(args []string) error {
 		}
 	}()
 	defer runner.Close()
-	if *cacheStats {
-		defer func() { fmt.Fprintf(os.Stderr, "trace cache: %s\n", cache.Stats()) }()
-	}
+	defer func() { atClose = cache.Stats() }()
 
 	exec := runspec.NewExec(runner, *base)
 	for _, file := range specFiles {

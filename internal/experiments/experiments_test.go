@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"blbp/internal/cond"
@@ -118,6 +120,38 @@ func TestRenameWrapsPredictor(t *testing.T) {
 		t.Error("renamed predictor does not delegate")
 	}
 }
+
+// TestRenameKeepsSpanFeeder: a renamed predictor must keep its segment fast
+// path. Without it tape replay feeds every renamed BLBP and ITTAGE (the
+// Fig. 10/11 arms) one interface call per conditional record.
+func TestRenameKeepsSpanFeeder(t *testing.T) {
+	for _, p := range []predictor.Indirect{core.New(core.DefaultConfig()), ittage.New(ittage.DefaultConfig())} {
+		if _, ok := p.(predictor.SpanFeeder); !ok {
+			t.Fatalf("%s does not implement SpanFeeder itself", p.Name())
+		}
+		r := Rename(p, "renamed-"+p.Name())
+		if _, ok := r.(predictor.SpanFeeder); !ok {
+			t.Errorf("Rename(%s) hides predictor.SpanFeeder", p.Name())
+		}
+		if r.Name() != "renamed-"+p.Name() {
+			t.Errorf("Name = %q", r.Name())
+		}
+	}
+	// A predictor without the fast path must not gain one.
+	if _, ok := Rename(stubNoSpans{}, "x").(predictor.SpanFeeder); ok {
+		t.Error("Rename added SpanFeeder to a predictor without it")
+	}
+}
+
+// stubNoSpans is an indirect predictor without the span fast path.
+type stubNoSpans struct{}
+
+func (stubNoSpans) Name() string                             { return "stub" }
+func (stubNoSpans) Predict(uint64) (uint64, bool)            { return 0, false }
+func (stubNoSpans) Update(uint64, uint64)                    {}
+func (stubNoSpans) OnCond(uint64, bool)                      {}
+func (stubNoSpans) OnOther(uint64, uint64, trace.BranchType) {}
+func (stubNoSpans) StorageBits() int                         { return 0 }
 
 func TestFig1RowsSortedByIndirect(t *testing.T) {
 	tb, rows := testRunner(t).Fig1(miniSuite(60_000))
@@ -347,11 +381,11 @@ func TestRunnerBuildsEachTraceOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	cottage := []Pass{
-		Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-			return newHP(), []predictor.Indirect{core.New(core.DefaultConfig())}
+		Shared(CondKeyHP, newHP, func() []predictor.Indirect {
+			return []predictor.Indirect{core.New(core.DefaultConfig())}
 		}),
-		Shared(CondKeyTAGE, func() (cond.Predictor, []predictor.Indirect) {
-			return cond.NewTAGE(cond.DefaultTAGEConfig()), []predictor.Indirect{ittage.New(ittage.DefaultConfig())}
+		Shared(CondKeyTAGE, newTAGE, func() []predictor.Indirect {
+			return []predictor.Indirect{ittage.New(ittage.DefaultConfig())}
 		}),
 	}
 	if _, err := r.RunSuite(specs, cottage); err != nil {
@@ -376,8 +410,8 @@ func TestTapeSharedCondMatchesFullSimulation(t *testing.T) {
 	specs := miniSuite(60_000)
 	r := testRunner(t)
 	rows, err := r.RunSuite(specs, []Pass{
-		Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-			return newHP(), []predictor.Indirect{core.New(core.DefaultConfig())}
+		Shared(CondKeyHP, newHP, func() []predictor.Indirect {
+			return []predictor.Indirect{core.New(core.DefaultConfig())}
 		}),
 	})
 	if err != nil {
@@ -392,6 +426,49 @@ func TestTapeSharedCondMatchesFullSimulation(t *testing.T) {
 		got := rows[i].Results[NameBLBP]
 		if got != want[0] {
 			t.Errorf("%s: tape result %+v != full simulation %+v", spec.Name, got, want[0])
+		}
+	}
+}
+
+// TestResultMemoSingleFlight: passes that agree on every memo key are
+// simulated once per workload however many ask at once; every other
+// request is served from the memo under its own pass's name.
+func TestResultMemoSingleFlight(t *testing.T) {
+	specs := miniSuite(20_000)[:2]
+	var built atomic.Int64
+	pass := func(name string) Pass {
+		p := Shared(CondKeyHP, newHP, func() []predictor.Indirect {
+			built.Add(1)
+			return []predictor.Indirect{ittage.New(ittage.DefaultConfig())}
+		})
+		p.Memo = &PassMemo{Keys: []string{"ittage-default"}, Names: []string{name}}
+		return p
+	}
+	const copies = 6
+	passes := make([]Pass, copies)
+	for i := range passes {
+		passes[i] = pass(fmt.Sprintf("ittage-%d", i))
+	}
+	r := NewRunner(4)
+	defer r.Close()
+	rows, err := r.RunSuite(specs, passes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := built.Load(); got != int64(len(specs)) {
+		t.Errorf("%d pass constructions, want one per workload (%d)", got, len(specs))
+	}
+	if st := r.MemoStats(); st.Stored != int64(len(specs)) || st.Hits != int64(len(specs)*(copies-1)) {
+		t.Errorf("memo %+v, want %d stored and %d hits", st, len(specs), len(specs)*(copies-1))
+	}
+	for _, row := range rows {
+		want := row.Results["ittage-0"]
+		for i := 1; i < copies; i++ {
+			got := row.Results[fmt.Sprintf("ittage-%d", i)]
+			want.Predictor = got.Predictor
+			if got != want {
+				t.Errorf("%s: copy %d result %+v differs from copy 0", row.Spec.Name, i, got)
+			}
 		}
 	}
 }

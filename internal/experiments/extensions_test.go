@@ -78,10 +78,10 @@ func TestExtrasPassOnMiniSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow integration")
 	}
-	pass := Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
+	pass := Shared(CondKeyHP, newHP, func() []predictor.Indirect {
 		twoBit := btb.Default32K()
 		twoBit.Hysteresis = true
-		return newHP(), []predictor.Indirect{
+		return []predictor.Indirect{
 			btb.NewIndirect(btb.Default32K()),
 			btb.NewIndirect(twoBit),
 			targetcache.New(targetcache.DefaultConfig()),
@@ -142,8 +142,8 @@ func TestCombinedPassesOnMiniSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow integration")
 	}
-	dedicated := Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-		return newHP(), []predictor.Indirect{core.New(core.DefaultConfig())}
+	dedicated := Shared(CondKeyHP, newHP, func() []predictor.Indirect {
+		return []predictor.Indirect{core.New(core.DefaultConfig())}
 	})
 	consolidated := Exclusive(func() (cond.Predictor, []predictor.Indirect) {
 		p := combined.New(core.DefaultConfig())
@@ -190,10 +190,10 @@ func TestHierarchyPassOnMiniSuite(t *testing.T) {
 	// Each task writes only its own workload's slot, so the retention is
 	// parallel-safe and read in deterministic spec order after the run.
 	insts := make([]*core.BLBP, len(specs))
-	pass := Pass{CondKey: CondKeyHP, New: func(w int) (cond.Predictor, []predictor.Indirect) {
+	pass := Pass{CondKey: CondKeyHP, NewCond: newHP, New: func(w int, _ []bool) (cond.Predictor, []predictor.Indirect) {
 		h := core.New(hier)
 		insts[w] = h
-		return newHP(), []predictor.Indirect{
+		return nil, []predictor.Indirect{
 			Rename(core.New(core.DefaultConfig()), "mono-64way"),
 			Rename(core.New(mono8), "mono-8way"),
 			Rename(h, "hierarchy"),
@@ -224,11 +224,11 @@ func TestCottagePassesOnMiniSuite(t *testing.T) {
 		t.Skip("slow integration")
 	}
 	passes := []Pass{
-		Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-			return newHP(), []predictor.Indirect{core.New(core.DefaultConfig())}
+		Shared(CondKeyHP, newHP, func() []predictor.Indirect {
+			return []predictor.Indirect{core.New(core.DefaultConfig())}
 		}),
-		Shared(CondKeyTAGE, func() (cond.Predictor, []predictor.Indirect) {
-			return cond.NewTAGE(cond.DefaultTAGEConfig()), []predictor.Indirect{ittage.New(ittage.DefaultConfig())}
+		Shared(CondKeyTAGE, newTAGE, func() []predictor.Indirect {
+			return []predictor.Indirect{ittage.New(ittage.DefaultConfig())}
 		}),
 	}
 	rows, err := testRunner(t).RunSuite(miniSuite(80_000), passes)
@@ -258,10 +258,10 @@ func TestLatencyHistogramOnMiniSuite(t *testing.T) {
 	}
 	specs := miniSuite(60_000)
 	insts := make([]*core.BLBP, len(specs))
-	pass := Pass{CondKey: CondKeyHP, New: func(w int) (cond.Predictor, []predictor.Indirect) {
+	pass := Pass{CondKey: CondKeyHP, NewCond: newHP, New: func(w int, _ []bool) (cond.Predictor, []predictor.Indirect) {
 		p := core.New(core.DefaultConfig())
 		insts[w] = p
-		return newHP(), []predictor.Indirect{p}
+		return nil, []predictor.Indirect{p}
 	}}
 	if _, err := testRunner(t).RunSuite(specs, []Pass{pass}); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,8 @@
 // work-stealing worker pool that schedules (workload × pass) tasks — the
 // granularity CBP-style trace-driven infrastructures parallelize at — so
 // multi-pass drivers like the Fig. 10 ablation no longer run their passes
-// serially inside one goroutine.
+// serially inside one goroutine. A per-predictor result memo (PassMemo)
+// lets any pass reuse a result an earlier pass of the process computed.
 package experiments
 
 import (
@@ -30,31 +31,69 @@ import (
 // workload so every trace starts with cold predictors, as in the paper.
 type PassFactory func() (cond.Predictor, []predictor.Indirect)
 
-// Pass couples a pass factory with its scheduling contract.
+// Pass couples a pass's constructors with its scheduling contract.
 type Pass struct {
 	// CondKey identifies the conditional predictor configuration when its
-	// simulation is shareable: every pass declaring the same key must
-	// construct an identical conditional predictor, and the engine then
-	// simulates the conditional/RAS side once per (trace, key) on the
-	// workload's tape and replays it for every other pass (see sim.Tape).
-	// An empty key marks a pass that owns conditional state (VPC, the
-	// consolidated predictor) and is always fully simulated.
+	// simulation is shareable (sim.CondKey gives the canonical key): every
+	// pass declaring the same key must construct an identical conditional
+	// predictor, and the engine then simulates the conditional/RAS side
+	// once per (trace, key) on the workload's tape and replays it for
+	// every other pass (see sim.Tape). An empty key marks a pass that owns
+	// conditional state (VPC, the consolidated predictor) and is always
+	// fully simulated.
 	CondKey string
-	// New builds the pass's predictors for workload index w. Most passes
-	// ignore w; drivers that collect per-workload side data (Hierarchy,
-	// Latency) use it to key sample ownership instead of sharing slices.
-	New func(w int) (cond.Predictor, []predictor.Indirect)
+	// NewCond builds a fresh conditional predictor of a shared pass's
+	// configuration. The tape calls it only when it has no count for
+	// (trace, CondKey), neither from an earlier pass nor from the spill
+	// directory's count index.
+	NewCond func() cond.Predictor
+	// New builds the pass's predictors for workload index w. A shared pass
+	// returns a nil conditional predictor (NewCond supplies it); an
+	// exclusive pass returns the one its indirect predictors run with.
+	// need, when non-nil, marks the indirect predictors the task runs: a
+	// shared pass may leave the others nil, since the result memo serves
+	// them. Most passes ignore w; drivers that collect per-workload side
+	// data (Hierarchy, Latency) use it to key sample ownership instead of
+	// sharing slices.
+	New func(w int, need []bool) (cond.Predictor, []predictor.Indirect)
+	// Memo, when set, lets the runner reuse the pass's results across
+	// passes and plans (see PassMemo); nil passes always simulate.
+	Memo *PassMemo
 }
 
-// Shared wraps a factory into a Pass whose conditional configuration is
-// shared under condKey.
-func Shared(condKey string, f PassFactory) Pass {
-	return Pass{CondKey: condKey, New: func(int) (cond.Predictor, []predictor.Indirect) { return f() }}
+// PassMemo names a pass's results for the runner's result memo. A result
+// is a pure function of the trace, the pass's conditional key, the RAS
+// options and what the keys below describe, so two passes anywhere in one
+// process that agree on all of them are simulated once.
+type PassMemo struct {
+	// Keys identifies the results. A shared pass has one key per indirect
+	// predictor (its type and merged configuration), since its predictors
+	// never exchange state; an exclusive pass has a single key covering
+	// the whole pass, conditional configuration included. The runner adds
+	// the trace identity, CondKey and the RAS options.
+	Keys []string
+	// Names lists the name each result is reported under, in result
+	// order; memoised results are renamed to it when served.
+	Names []string
+	// FillOnly marks a pass that runs whatever the memo holds, because
+	// its outputs read the instances it builds; it still records results.
+	FillOnly bool
+}
+
+// Shared returns a Pass whose conditional configuration is shared under
+// condKey: newCond builds the conditional predictor (only when the tape
+// needs it) and f the indirect predictors.
+func Shared(condKey string, newCond func() cond.Predictor, f func() []predictor.Indirect) Pass {
+	return Pass{
+		CondKey: condKey,
+		NewCond: newCond,
+		New:     func(int, []bool) (cond.Predictor, []predictor.Indirect) { return nil, f() },
+	}
 }
 
 // Exclusive wraps a factory into a Pass that owns its conditional state.
 func Exclusive(f PassFactory) Pass {
-	return Pass{New: func(int) (cond.Predictor, []predictor.Indirect) { return f() }}
+	return Pass{New: func(int, []bool) (cond.Predictor, []predictor.Indirect) { return f() }}
 }
 
 // WorkloadResult holds all predictor results for one workload.
@@ -76,6 +115,7 @@ type Runner struct {
 	cache     *tracecache.Cache
 	pool      *pool
 	ownsCache bool
+	memo      resultMemo
 }
 
 // NewRunner returns a Runner with workers worker goroutines (0 = GOMAXPROCS)
@@ -99,7 +139,7 @@ func NewRunnerConfig(workers int, cfg tracecache.Config) *Runner {
 // NewRunnerCache returns a Runner over an externally owned trace cache,
 // letting several runners (or a benchmark harness) share built traces.
 func NewRunnerCache(workers int, cache *tracecache.Cache) *Runner {
-	return &Runner{cache: cache, pool: newPool(workers)}
+	return &Runner{cache: cache, pool: newPool(workers), memo: resultMemo{cells: map[string]*memoCell{}}}
 }
 
 // Close stops the worker pool (and drops a private cache's entries).
@@ -116,12 +156,17 @@ func (r *Runner) Cache() *tracecache.Cache { return r.cache }
 // Workers returns the pool size.
 func (r *Runner) Workers() int { return r.pool.workers() }
 
+// MemoStats returns the result memo's counters.
+func (r *Runner) MemoStats() MemoStats { return r.memo.stats() }
+
 // RunSuite simulates every pass over every spec. The run is decomposed
 // into (workload × pass) tasks on the shared pool: each task fetches the
 // workload's trace from the cache (building it at most once process-wide),
-// obtains the shared tape, and replays its pass. Results are reassembled
-// in deterministic spec/pass order, so the output is byte-for-byte
-// independent of the worker count.
+// obtains the shared tape, and replays its pass. A pass with a PassMemo
+// simulates only the results the runner has not computed before; the rest
+// are served from the memo, and a task they all come from touches no
+// trace. Results are reassembled in deterministic spec/pass order, so the
+// output is byte-for-byte independent of the worker count.
 func (r *Runner) RunSuite(specs []workload.Spec, passes []Pass) ([]WorkloadResult, error) {
 	res, err := r.RunSuites([][]workload.Spec{specs}, passes)
 	if err != nil {
@@ -167,13 +212,7 @@ func (r *Runner) RunSuites(suites [][]workload.Spec, passes []Pass) ([][]Workloa
 				w := i
 				r.pool.submit(func() {
 					defer wg.Done()
-					tape, err := r.cache.Get(spec).Tape()
-					if err != nil {
-						c.err = err
-						return
-					}
-					cp, indirects := pass.New(w)
-					c.res, c.err = tape.Run(pass.CondKey, cp, indirects, sim.Options{})
+					c.res, c.err = r.runTask(spec, w, pass)
 				})
 			}
 		}
@@ -203,6 +242,94 @@ func (r *Runner) RunSuites(suites [][]workload.Spec, passes []Pass) ([][]Workloa
 		out[s] = rows
 	}
 	return out, nil
+}
+
+// runOpts are the engine options every runner task simulates with.
+var runOpts = sim.Options{}
+
+// runTask computes one (workload × pass) cell. Without a memo it simulates
+// the pass. With one, it claims the results nobody has computed or is
+// computing, simulates only those, publishes them, and then collects the
+// rest, waiting for results other tasks are computing. A task publishes
+// everything it claimed before it waits on anything, so waits cannot form
+// a cycle.
+func (r *Runner) runTask(spec workload.Spec, w int, pass Pass) ([]sim.Result, error) {
+	m := pass.Memo
+	if m == nil {
+		return r.simulate(spec, w, pass, nil)
+	}
+	id := spec.Identity()
+	prefix := fmt.Sprintf("%q|%d|%d|%016x|%q|%+v|", id.Name, id.Seed, id.Instructions, id.Fingerprint, pass.CondKey, runOpts)
+	keys := make([]string, len(m.Keys))
+	for i, k := range m.Keys {
+		keys[i] = prefix + k
+	}
+	if m.FillOnly {
+		res, err := r.simulate(spec, w, pass, nil)
+		if err == nil {
+			r.memo.fill(keys, resultGroups(pass, res))
+		}
+		return res, err
+	}
+	cells, own := r.memo.claim(keys)
+	var need []bool
+	owned := 0
+	for _, o := range own {
+		if o {
+			owned++
+		}
+	}
+	if owned > 0 {
+		if pass.CondKey != "" && owned < len(own) {
+			need = own
+		}
+		res, err := r.simulate(spec, w, pass, need)
+		var groups [][]sim.Result
+		if err == nil {
+			groups = resultGroups(pass, res)
+		}
+		r.memo.publish(keys, cells, own, groups, err)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return r.memo.collect(cells, own, m.Names)
+}
+
+// resultGroups splits a pass's results by memo key: one result per key on
+// a shared pass, all of them under the single key of an exclusive one.
+func resultGroups(pass Pass, res []sim.Result) [][]sim.Result {
+	if pass.CondKey == "" {
+		return [][]sim.Result{res}
+	}
+	groups := make([][]sim.Result, len(res))
+	for i := range res {
+		groups[i] = res[i : i+1]
+	}
+	return groups
+}
+
+// simulate runs a pass over the workload's tape; need (shared passes only)
+// restricts it to the marked indirect predictors.
+func (r *Runner) simulate(spec workload.Spec, w int, pass Pass, need []bool) ([]sim.Result, error) {
+	tape, err := r.cache.Get(spec).Tape()
+	if err != nil {
+		return nil, err
+	}
+	cp, indirects := pass.New(w, need)
+	if pass.CondKey == "" {
+		return tape.Run("", cp, indirects, runOpts)
+	}
+	if need != nil {
+		kept := indirects[:0:0]
+		for i, ip := range indirects {
+			if need[i] {
+				kept = append(kept, ip)
+			}
+		}
+		indirects = kept
+	}
+	return tape.RunShared(pass.CondKey, pass.NewCond, indirects, runOpts)
 }
 
 // AnalyzeSuite returns each spec's trace statistics in spec order. Both
@@ -247,9 +374,30 @@ type named struct {
 	name string
 }
 
-// Rename wraps p under a unique name.
-func Rename(p predictor.Indirect, name string) predictor.Indirect {
-	return named{Indirect: p, name: name}
+func (n named) Name() string { return n.name }
+
+// namedSpans is named over a predictor that consumes whole segments: the
+// wrapper must forward predictor.SpanFeeder, or tape replay falls back to
+// one OnCond/OnOther interface call per record.
+type namedSpans struct {
+	named
+	spans predictor.SpanFeeder
 }
 
-func (n named) Name() string { return n.name }
+func (n namedSpans) OnCondSpan(c *trace.Columns, start, end int) {
+	n.spans.OnCondSpan(c, start, end)
+}
+
+func (n namedSpans) OnOtherSpan(c *trace.Columns, start, end int, bt trace.BranchType) {
+	n.spans.OnOtherSpan(c, start, end, bt)
+}
+
+// Rename wraps p under a unique name. The wrapper keeps p's span fast path
+// (predictor.SpanFeeder) when p has one.
+func Rename(p predictor.Indirect, name string) predictor.Indirect {
+	n := named{Indirect: p, name: name}
+	if sf, ok := p.(predictor.SpanFeeder); ok {
+		return namedSpans{named: n, spans: sf}
+	}
+	return n
+}

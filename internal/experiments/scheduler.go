@@ -14,9 +14,12 @@ import (
 // pile up behind a slow worker are redistributed instead of serializing the
 // tail of the run.
 //
-// Tasks never spawn or wait on other tasks, so a single condition variable
-// over all deques is sufficient and deadlock-free; at (workload × pass)
-// granularity — milliseconds per task — the shared lock is not contended.
+// Tasks never spawn tasks, and a task waits only on a result memo cell
+// claimed by another task that is already running and publishes it before
+// waiting itself (see Runner.runTask), never on a queued task; so a single
+// condition variable over all deques is sufficient and deadlock-free. At
+// (workload × pass) granularity — milliseconds per task — the shared lock
+// is not contended.
 type pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

@@ -6,6 +6,7 @@ import (
 	"blbp/internal/core"
 	"blbp/internal/ittage"
 	"blbp/internal/predictor"
+	"blbp/internal/sim"
 	"blbp/internal/vpc"
 )
 
@@ -17,20 +18,32 @@ const (
 	NameBLBP   = "blbp"
 )
 
-// Conditional configuration keys (see Pass.CondKey). Every pass declaring
-// one of these must construct exactly the predictor the key names, so the
+// Conditional configuration keys (see Pass.CondKey): the canonical keys
+// (sim.CondKey) of the two default substrates. Every pass declaring one of
+// these must construct exactly the predictor the key names, so the
 // tape-cached conditional simulation is interchangeable across passes and
-// drivers.
-const (
+// drivers, and persists across processes in a spill directory's count
+// index. Both are registered with sim.RegisterCond, so a Tape.Run caller
+// that hands the tape a built predictor still gets persisted counts.
+var (
 	// CondKeyHP is cond.NewHashedPerceptron(cond.DefaultHPConfig()).
-	CondKeyHP = "hashed-perceptron/default"
+	CondKeyHP = sim.CondKey("hashed-perceptron", cond.DefaultHPConfig())
 	// CondKeyTAGE is cond.NewTAGE(cond.DefaultTAGEConfig()).
-	CondKeyTAGE = "tage/default"
+	CondKeyTAGE = sim.CondKey("tage", cond.DefaultTAGEConfig())
 )
+
+func init() {
+	sim.RegisterCond(CondKeyHP, newHP)
+	sim.RegisterCond(CondKeyTAGE, newTAGE)
+}
 
 // newHP builds the default hashed perceptron, the conditional predictor
 // behind CondKeyHP.
 func newHP() cond.Predictor { return cond.NewHashedPerceptron(cond.DefaultHPConfig()) }
+
+// newTAGE builds the default TAGE, the conditional predictor behind
+// CondKeyTAGE.
+func newTAGE() cond.Predictor { return cond.NewTAGE(cond.DefaultTAGEConfig()) }
 
 // StandardPasses returns the paper's Table 2 predictor line-up as engine
 // passes: one pass with the BTB baseline, ITTAGE, and BLBP sharing a hashed
@@ -38,8 +51,8 @@ func newHP() cond.Predictor { return cond.NewHashedPerceptron(cond.DefaultHPConf
 // own (and pollute) its conditional predictor.
 func StandardPasses() []Pass {
 	return []Pass{
-		Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-			return newHP(), []predictor.Indirect{
+		Shared(CondKeyHP, newHP, func() []predictor.Indirect {
+			return []predictor.Indirect{
 				btb.NewIndirect(btb.Default32K()),
 				ittage.New(ittage.DefaultConfig()),
 				core.New(core.DefaultConfig()),
@@ -61,10 +74,8 @@ func VPCPass() Pass {
 // ITTAGEPass returns a pass containing only ITTAGE (used as the reference
 // in the ablation and associativity sweeps).
 func ITTAGEPass() Pass {
-	return Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-		return newHP(), []predictor.Indirect{
-			ittage.New(ittage.DefaultConfig()),
-		}
+	return Shared(CondKeyHP, newHP, func() []predictor.Indirect {
+		return []predictor.Indirect{ittage.New(ittage.DefaultConfig())}
 	})
 }
 
@@ -77,8 +88,8 @@ func ITTAGEPass() Pass {
 func BLBPVariantsPasses(variants []BLBPVariant) []Pass {
 	passes := make([]Pass, len(variants))
 	for i, v := range variants {
-		passes[i] = Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-			return newHP(), []predictor.Indirect{Rename(core.New(v.Config), v.Name)}
+		passes[i] = Shared(CondKeyHP, newHP, func() []predictor.Indirect {
+			return []predictor.Indirect{Rename(core.New(v.Config), v.Name)}
 		})
 	}
 	return passes

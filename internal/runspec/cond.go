@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"blbp/internal/cond"
-	"blbp/internal/experiments"
 	"blbp/internal/predictor"
 )
 
@@ -42,17 +41,15 @@ func (c BimodalConfig) Validate() error {
 	return nil
 }
 
-// condEntry is one registered conditional predictor substrate.
+// condEntry is one registered conditional predictor substrate. A pass's
+// tape-sharing key is sim.CondKey of the substrate name and the merged
+// config, so plan-driven passes over a default substrate share tapes with
+// code-driven ones (experiments.CondKeyHP/CondKeyTAGE).
 type condEntry struct {
-	name string
-	doc  string
-	// defaultKey is the tape-sharing key of the default configuration.
-	// The hashed-perceptron and TAGE keys predate this layer
-	// (experiments.CondKeyHP/CondKeyTAGE), so plan-driven passes share
-	// tapes with code-driven ones.
-	defaultKey string
-	def        func() any
-	build      func(cfg any) (cond.Predictor, error)
+	name  string
+	doc   string
+	def   func() any
+	build func(cfg any) (cond.Predictor, error)
 }
 
 // config materializes the substrate's configuration with overrides.
@@ -65,21 +62,6 @@ func (e condEntry) config(overrides []byte) (any, error) {
 		return nil, fmt.Errorf("cond: %s config: %v", e.name, err)
 	}
 	return cfg, nil
-}
-
-// key returns the tape-sharing key for a configuration: the legacy default
-// key when no overrides were given, else a key derived from the canonical
-// JSON of the merged config (identical overrides share, different ones
-// don't — and neither collides with the default).
-func (e condEntry) key(cfg any, hadOverrides bool) string {
-	if !hadOverrides {
-		return e.defaultKey
-	}
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("runspec: cond %s config does not marshal: %v", e.name, err))
-	}
-	return e.name + "/" + string(b)
 }
 
 // condOrder lists substrates in registration order (for -list); the map
@@ -139,10 +121,9 @@ func CondEntries() []CondEntryInfo {
 
 func init() {
 	registerCond(condEntry{
-		name:       "hashed-perceptron",
-		doc:        "Tarjan & Skadron hashed perceptron (the harness default)",
-		defaultKey: experiments.CondKeyHP,
-		def:        func() any { return cond.DefaultHPConfig() },
+		name: "hashed-perceptron",
+		doc:  "Tarjan & Skadron hashed perceptron (the harness default)",
+		def:  func() any { return cond.DefaultHPConfig() },
 		build: func(cfg any) (cond.Predictor, error) {
 			c, ok := cfg.(cond.HPConfig)
 			if !ok {
@@ -152,10 +133,9 @@ func init() {
 		},
 	})
 	registerCond(condEntry{
-		name:       "tage",
-		doc:        "Seznec TAGE (pairs with ittage as the COTTAGE configuration)",
-		defaultKey: experiments.CondKeyTAGE,
-		def:        func() any { return cond.DefaultTAGEConfig() },
+		name: "tage",
+		doc:  "Seznec TAGE (pairs with ittage as the COTTAGE configuration)",
+		def:  func() any { return cond.DefaultTAGEConfig() },
 		build: func(cfg any) (cond.Predictor, error) {
 			c, ok := cfg.(cond.TAGEConfig)
 			if !ok {
@@ -165,10 +145,9 @@ func init() {
 		},
 	})
 	registerCond(condEntry{
-		name:       "gshare",
-		doc:        "two-bit gshare (cheap reference substrate)",
-		defaultKey: "gshare/default",
-		def:        func() any { return GShareConfig{Entries: 16384, HistBits: 14} },
+		name: "gshare",
+		doc:  "two-bit gshare (cheap reference substrate)",
+		def:  func() any { return GShareConfig{Entries: 16384, HistBits: 14} },
 		build: func(cfg any) (cond.Predictor, error) {
 			c, ok := cfg.(GShareConfig)
 			if !ok {
@@ -178,10 +157,9 @@ func init() {
 		},
 	})
 	registerCond(condEntry{
-		name:       "bimodal",
-		doc:        "two-bit bimodal (minimal reference substrate)",
-		defaultKey: "bimodal/default",
-		def:        func() any { return BimodalConfig{Entries: 16384} },
+		name: "bimodal",
+		doc:  "two-bit bimodal (minimal reference substrate)",
+		def:  func() any { return BimodalConfig{Entries: 16384} },
 		build: func(cfg any) (cond.Predictor, error) {
 			c, ok := cfg.(BimodalConfig)
 			if !ok {

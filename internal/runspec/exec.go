@@ -1,7 +1,6 @@
 package runspec
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -11,31 +10,25 @@ import (
 	"blbp/internal/wspec"
 )
 
-// Exec drives plans over one experiments.Runner. Identical (suite, passes)
-// combinations are simulated once and reused across plans, so e.g. the
-// overall, fig8, and fig9 built-ins — three plans over the same standard
-// passes — cost a single suite run per process, as the bespoke drivers'
-// shared lazy computation used to.
+// Exec drives plans over one experiments.Runner. Reuse across plans lives
+// in the runner's per-predictor result memo (experiments.PassMemo): every
+// compiled pass names its results by trace, conditional key, RAS options
+// and predictor type plus merged config, so a predictor that any earlier
+// pass of the process ran on a trace is served, not simulated again. The
+// overall, fig8 and fig9 built-ins share one suite run that way, and so do
+// Fig. 10's all-on and Fig. 11's assoc-64 (both the default BLBP).
 type Exec struct {
 	r    *experiments.Runner
 	base int64
-	memo map[string]*suiteRun
 	// registry holds session-registered workload specs (RegisterWorkload);
 	// spec-listed suites resolve names here before the built-ins.
 	registry map[string]wspec.WorkloadSpec
 }
 
-// suiteRun is one memoized simulation: the resolved suites, the per-draw
-// results, and the compiled plan (whose probe store outputs may read).
-type suiteRun struct {
-	results [][]experiments.WorkloadResult
-	cp      *compiledPlan
-}
-
 // NewExec returns an executor over r. base is the default per-SHORT-trace
 // instruction budget for plans that don't pin one (the CLI's -base flag).
 func NewExec(r *experiments.Runner, base int64) *Exec {
-	return &Exec{r: r, base: base, memo: map[string]*suiteRun{}}
+	return &Exec{r: r, base: base}
 }
 
 // Runner exposes the underlying execution layer (characterization outputs
@@ -75,12 +68,14 @@ func (x *Exec) Run(plan *Plan) ([]RenderedOutput, error) {
 
 	ctx := &OutputContext{exec: x, plan: plan, suites: suites}
 	if len(plan.Passes) > 0 && needsPasses {
-		run, err := x.runSuites(plan, suites, needsProbes)
+		cp, err := compilePasses(plan, len(suites[0]), needsProbes)
 		if err != nil {
 			return nil, err
 		}
-		ctx.results = run.results
-		ctx.cp = run.cp
+		if ctx.results, err = x.r.RunSuites(suites, cp.passes); err != nil {
+			return nil, err
+		}
+		ctx.cp = cp
 	}
 
 	outs := make([]RenderedOutput, 0, len(plan.Outputs))
@@ -97,49 +92,6 @@ func (x *Exec) Run(plan *Plan) ([]RenderedOutput, error) {
 		outs = append(outs, RenderedOutput{Name: out.Table, File: file, Table: tb, Chart: ch, Data: data})
 	}
 	return outs, nil
-}
-
-// runSuites simulates the plan's passes over the resolved suites, memoized
-// on the (suite, passes, probes) triple.
-func (x *Exec) runSuites(plan *Plan, suites [][]workload.Spec, withProbes bool) (*suiteRun, error) {
-	key, err := memoKey(plan, x.base, withProbes)
-	if err != nil {
-		return nil, err
-	}
-	if run, ok := x.memo[key]; ok {
-		return run, nil
-	}
-	cp, err := compilePasses(plan, len(suites[0]), withProbes)
-	if err != nil {
-		return nil, err
-	}
-	results, err := x.r.RunSuites(suites, cp.passes)
-	if err != nil {
-		return nil, err
-	}
-	run := &suiteRun{results: results, cp: cp}
-	x.memo[key] = run
-	return run, nil
-}
-
-// memoKey canonicalizes what determines a simulation's results: the
-// resolved suite selection and the passes. Two plans with byte-equal keys
-// share one run.
-func memoKey(plan *Plan, base int64, withProbes bool) (string, error) {
-	s := plan.Suite
-	if s.Base == 0 {
-		s.Base = base
-	}
-	var b strings.Builder
-	enc := json.NewEncoder(&b)
-	if err := enc.Encode(s); err != nil {
-		return "", fmt.Errorf("runspec: %v", err)
-	}
-	if err := enc.Encode(plan.Passes); err != nil {
-		return "", fmt.Errorf("runspec: %v", err)
-	}
-	fmt.Fprintf(&b, "probes=%t", withProbes)
-	return b.String(), nil
 }
 
 // resolveSuites materializes the plan's workload population: one spec

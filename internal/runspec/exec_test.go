@@ -81,12 +81,15 @@ func TestExecUnknownWorkloadFailsLoudly(t *testing.T) {
 
 // TestExecMemoizesIdenticalRuns: two plans over byte-equal (suite, passes)
 // must share one simulation, the property that makes the overall/fig8/fig9
-// trio cost a single suite run.
+// trio cost a single suite run: the second plan's every result comes from
+// the runner's result memo.
 func TestExecMemoizesIdenticalRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates three workloads")
 	}
-	x := NewExec(experiments.NewRunner(0), 600_000)
+	r := experiments.NewRunner(0)
+	defer r.Close()
+	x := NewExec(r, 600_000)
 	a := miniPlan(15_000)
 	b := miniPlan(15_000)
 	b.Name = "mini-again"
@@ -95,12 +98,16 @@ func TestExecMemoizesIdenticalRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := r.MemoStats()
+	if first.Hits != 0 || first.Stored == 0 {
+		t.Fatalf("after one plan: memo %+v, want results stored and no hits", first)
+	}
 	rb, err := x.Run(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(x.memo) != 1 {
-		t.Errorf("%d memoized runs, want 1 (identical suite+passes must share)", len(x.memo))
+	if got := r.MemoStats(); got.Hits != first.Stored || got.Stored != first.Stored {
+		t.Errorf("after an identical plan: memo %+v, want all %d results served and none stored", got, first.Stored)
 	}
 	if !bytes.Equal(renderCSV(t, ra[0]), renderCSV(t, rb[0])) {
 		t.Error("shared run rendered different tables")
@@ -109,12 +116,13 @@ func TestExecMemoizesIdenticalRuns(t *testing.T) {
 		t.Errorf("File = %q, want the plan's override %q", rb[0].File, "other")
 	}
 	// A different instruction budget is a different simulation.
+	before := r.MemoStats()
 	c := miniPlan(10_000)
 	if _, err := x.Run(c); err != nil {
 		t.Fatal(err)
 	}
-	if len(x.memo) != 2 {
-		t.Errorf("%d memoized runs after a re-scaled plan, want 2", len(x.memo))
+	if got := r.MemoStats(); got.Hits != before.Hits || got.Stored != 2*first.Stored {
+		t.Errorf("after a re-scaled plan: memo %+v, want no new hits and %d stored", got, 2*first.Stored)
 	}
 }
 

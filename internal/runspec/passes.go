@@ -1,11 +1,14 @@
 package runspec
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 
 	"blbp/internal/cond"
 	"blbp/internal/experiments"
 	"blbp/internal/predictor"
+	"blbp/internal/sim"
 )
 
 // compiledPlan is a plan's passes lowered to the experiments layer, plus
@@ -51,6 +54,12 @@ func (s *probeStore) find(w int, name string) predictor.Indirect {
 // once here so config and wiring errors surface before any simulation; the
 // per-workload factories built below can then only repeat constructions
 // that are known to succeed.
+//
+// Every pass carries a result-memo identity (experiments.PassMemo), so a
+// predictor that an earlier pass or plan of the process already ran on a
+// trace is served from the runner's memo instead of simulated again. With
+// probes the passes run regardless, since their outputs read the
+// instances they build; they still record their results.
 func compilePasses(p *Plan, workloads int, withProbes bool) (*compiledPlan, error) {
 	cp := &compiledPlan{}
 	if withProbes {
@@ -64,6 +73,7 @@ func compilePasses(p *Plan, workloads int, withProbes bool) (*compiledPlan, erro
 		if err != nil {
 			return nil, err
 		}
+		pass.Memo.FillOnly = withProbes
 		if cp.probes != nil {
 			// Preallocated here, before any task runs, so the concurrent
 			// factories below only ever write their own (pass, workload)
@@ -91,6 +101,7 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 	}
 	specs := make([]resolved, len(ps.Predictors))
 	names := make([]string, len(ps.Predictors))
+	keys := make([]string, len(ps.Predictors))
 	provider := -1
 	bound := false
 	for si, spec := range ps.Predictors {
@@ -102,8 +113,13 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 		if err != nil {
 			return fail(err)
 		}
+		b, err := json.Marshal(cfg)
+		if err != nil {
+			return fail(fmt.Errorf("%s config does not marshal: %v", spec.Type, err))
+		}
 		specs[si] = resolved{entry: e, cfg: cfg}
 		names[si] = displayName(spec)
+		keys[si] = spec.Type + string(b)
 		switch {
 		case e.NewProvider != nil:
 			provider = si
@@ -120,18 +136,23 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 		if _, _, err := r.entry.NewProvider(r.cfg); err != nil {
 			return fail(err)
 		}
-		pass := experiments.Pass{New: func(w int) (cond.Predictor, []predictor.Indirect) {
-			cpred, ind, err := r.entry.NewProvider(r.cfg)
-			if err != nil {
-				panic(fmt.Sprintf("runspec: %s construction failed after successful dry run: %v", r.entry.Name, err))
-			}
-			inds := []predictor.Indirect{ind}
-			retain(probes, pi, w, inds)
-			if rename != "" {
-				inds[0] = experiments.Rename(ind, rename)
-			}
-			return cpred, inds
-		}}
+		pass := experiments.Pass{
+			New: func(w int, _ []bool) (cond.Predictor, []predictor.Indirect) {
+				cpred, ind, err := r.entry.NewProvider(r.cfg)
+				if err != nil {
+					panic(fmt.Sprintf("runspec: %s construction failed after successful dry run: %v", r.entry.Name, err))
+				}
+				inds := []predictor.Indirect{ind}
+				retain(probes, pi, w, inds)
+				if rename != "" {
+					inds[0] = experiments.Rename(ind, rename)
+				}
+				return cpred, inds
+			},
+			// The provider is the whole pass: one unit, reported under
+			// the provider's name.
+			Memo: &experiments.PassMemo{Keys: keys[provider : provider+1], Names: names[provider : provider+1]},
+		}
 		return pass, names, nil
 	}
 
@@ -177,11 +198,22 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 		}
 	}
 
-	build := func(w int) (cond.Predictor, []predictor.Indirect) {
-		cpred := newCond()
+	condKey := sim.CondKey(ce.name, condCfg)
+	// build constructs the pass's predictors for workload w: on a shared
+	// pass only those need marks (all when need is nil) and no conditional
+	// predictor, which the tape builds with newCond if it must; on a bound
+	// pass all of them, over one fresh conditional predictor.
+	build := func(w int, need []bool) (cond.Predictor, []predictor.Indirect) {
+		var cpred cond.Predictor
+		if bound {
+			cpred = newCond()
+		}
 		raw := make([]predictor.Indirect, len(specs))
 		inds := make([]predictor.Indirect, len(specs))
 		for si := range specs {
+			if need != nil && !need[si] {
+				continue
+			}
 			r := specs[si]
 			var ind predictor.Indirect
 			var err error
@@ -205,12 +237,19 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 
 	if bound {
 		// A pass whose predictor shares (and pollutes) the conditional
-		// predictor owns its conditional state: never tape-shared.
-		return experiments.Pass{New: build}, names, nil
+		// predictor owns its conditional state: never tape-shared, and
+		// memoised as one unit keyed by everything in it.
+		unit := "cond=" + condKey + ";" + strings.Join(keys, ";")
+		return experiments.Pass{
+			New:  build,
+			Memo: &experiments.PassMemo{Keys: []string{unit}, Names: names},
+		}, names, nil
 	}
 	return experiments.Pass{
-		CondKey: ce.key(condCfg, len(ps.CondConfig) > 0),
+		CondKey: condKey,
+		NewCond: newCond,
 		New:     build,
+		Memo:    &experiments.PassMemo{Keys: keys, Names: names},
 	}, names, nil
 }
 

@@ -66,9 +66,10 @@ type Pass struct {
 	// Cond names the conditional predictor substrate (see CondNames);
 	// empty means "hashed-perceptron".
 	Cond string `json:"cond,omitempty"`
-	// CondConfig overrides the substrate's default configuration. A pass
-	// with overrides gets its own tape-sharing key, so it never reuses the
-	// default substrate's cached conditional simulation.
+	// CondConfig overrides the substrate's default configuration. The
+	// tape-sharing key is the substrate plus the merged configuration
+	// (sim.CondKey), so a pass whose overrides change the configuration
+	// never reuses the default substrate's cached conditional simulation.
 	CondConfig json.RawMessage `json:"cond_config,omitempty"`
 	// Predictors lists the pass's indirect predictors.
 	Predictors []PredictorSpec `json:"predictors"`

@@ -19,7 +19,9 @@ import (
 // predictor's misprediction count once per conditional configuration key.
 // Passes that declare a shared conditional configuration then replay the
 // tape, driving only their indirect predictors over the record stream,
-// instead of re-simulating the conditional and return sides.
+// instead of re-simulating the conditional and return sides. A tape with a
+// CondStore also reads conditional counts an earlier process persisted,
+// and simulates only the ones it cannot find there.
 //
 // The tape replays the trace's columnar form (trace.Columns): its loops run
 // segment by segment, skipping classes a memo does not observe and feeding
@@ -28,7 +30,8 @@ import (
 // A Tape is safe for concurrent use: the scheduler runs many passes of the
 // same workload at once and they all share one tape.
 type Tape struct {
-	cols *trace.Columns
+	cols  *trace.Columns
+	store CondStore // nil: counts live in this tape only
 
 	mu   sync.Mutex
 	ras  map[int]*rasMemo
@@ -80,12 +83,18 @@ func (tp *Tape) Columns() *trace.Columns { return tp.cols }
 // Instructions returns the trace's total instruction count.
 func (tp *Tape) Instructions() int64 { return tp.cols.Instructions() }
 
+// SetCondStore attaches the store the tape consults before it simulates a
+// conditional configuration, and records new counts in. Call it before
+// the tape is shared.
+func (tp *Tape) SetCondStore(s CondStore) { tp.store = s }
+
 // condMispredicts returns the misprediction count of the conditional
-// configuration named by key, simulating cp over the trace on the key's
-// first use. Callers guarantee that every cp arriving under one key is a
-// freshly constructed predictor of the identical configuration; later
-// arrivals are discarded unused.
-func (tp *Tape) condMispredicts(key string, cp cond.Predictor) int64 {
+// configuration named by key. On the key's first use it asks the tape's
+// store, and only on a miss builds a predictor with newCond and simulates
+// it over the trace. saltCond builds the fresh instance the store's code
+// salt needs (nil: the store is bypassed). Callers guarantee that every
+// constructor arriving under one key builds the identical configuration.
+func (tp *Tape) condMispredicts(key string, newCond, saltCond func() cond.Predictor) int64 {
 	tp.mu.Lock()
 	m := tp.cond[key]
 	if m == nil {
@@ -93,7 +102,24 @@ func (tp *Tape) condMispredicts(key string, cp cond.Predictor) int64 {
 		tp.cond[key] = m
 	}
 	tp.mu.Unlock()
-	m.once.Do(func() { m.mispredicts = tp.simulateCond(cp) })
+	m.once.Do(func() {
+		salt := func() (uint64, bool) {
+			if saltCond == nil {
+				return 0, false
+			}
+			return CondSalt(key, saltCond), true
+		}
+		if tp.store != nil {
+			if n, ok := tp.store.LoadCond(key, salt); ok {
+				m.mispredicts = n
+				return
+			}
+		}
+		m.mispredicts = tp.simulateCond(newCond())
+		if tp.store != nil {
+			tp.store.SaveCond(key, salt, m.mispredicts)
+		}
+	})
 	return m.mispredicts
 }
 
@@ -171,8 +197,10 @@ func (tp *Tape) returnMispredicts(depth int) int64 {
 // owns conditional state — VPC and the consolidated predictor share state
 // between the two sides — and the full engine runs instead.
 //
-// Every caller passing the same condKey must construct cp identically;
-// results are bit-identical to Run because the conditional predictor, the
+// Every caller passing the same condKey must construct cp identically
+// (sim.CondKey gives the canonical key); cp is simulated only when the
+// tape has no count for the key yet, and is discarded otherwise. Results
+// are bit-identical to Run because the conditional predictor, the
 // RAS, and the indirect predictors never exchange state within a pass. The
 // same independence makes the segment-level loop interchange here legal:
 // each indirect predictor consumes a whole segment before the next
@@ -186,10 +214,30 @@ func (tp *Tape) Run(condKey string, cp cond.Predictor, indirects []predictor.Ind
 	if cp == nil {
 		return nil, fmt.Errorf("sim: nil conditional predictor")
 	}
+	return tp.replay(condKey, func() cond.Predictor { return cp }, registeredCond(condKey), indirects, opts)
+}
+
+// RunShared is Run for a pass whose conditional configuration is shared
+// under condKey, with a constructor in place of a built predictor: the tape
+// calls newCond only when it has to simulate the conditional side, so a
+// pass whose count is memoised or persisted builds no conditional
+// predictor at all.
+func (tp *Tape) RunShared(condKey string, newCond func() cond.Predictor, indirects []predictor.Indirect, opts Options) ([]Result, error) {
+	if condKey == "" {
+		return nil, fmt.Errorf("sim: shared pass without a conditional key")
+	}
+	if newCond == nil {
+		return nil, fmt.Errorf("sim: nil conditional predictor constructor")
+	}
+	return tp.replay(condKey, newCond, newCond, indirects, opts)
+}
+
+// replay is the shared-pass body of Run and RunShared.
+func (tp *Tape) replay(condKey string, newCond, saltCond func() cond.Predictor, indirects []predictor.Indirect, opts Options) ([]Result, error) {
 	if len(indirects) == 0 {
 		return nil, fmt.Errorf("sim: no indirect predictors")
 	}
-	condMis := tp.condMispredicts(condKey, cp)
+	condMis := tp.condMispredicts(condKey, newCond, saltCond)
 	retMis := tp.returnMispredicts(opts.rasDepth())
 
 	perPred := make([]Result, len(indirects))

@@ -246,9 +246,11 @@ func ReadSpillColumns(r io.Reader) (SpillHeader, *Columns, error) {
 func readSpillBlocksColumns(br *bufio.Reader, h SpillHeader) (*Columns, error) {
 	// Cap the initial arena size: a corrupt record count must not commit
 	// gigabytes up front. The arena is taken only once the first block has
-	// passed its size and checksum checks, and grows block by block past
-	// the cap, so a corrupt file fails at its first bad block having
-	// allocated at most one block's worth beyond the capped arena.
+	// passed its size and checksum checks. Past the cap it grows
+	// geometrically (never past the header's count, which every decoded
+	// block has stayed within), so each column is recopied O(log n) times
+	// and a corrupt file fails at its first bad block having allocated at
+	// most twice the records already verified.
 	capHint := h.Records
 	if capHint > 1<<16 {
 		capHint = 1 << 16
@@ -301,7 +303,9 @@ func readSpillBlocksColumns(br *bufio.Reader, h SpillHeader) (*Columns, error) {
 			arena()
 		}
 		base := int(decoded)
-		c.grow(base + int(nrec))
+		if need := base + int(nrec); cap(c.pc) < need {
+			c.grow(min(max(need, 2*cap(c.pc)), int(h.Records)))
+		}
 		c.setLen(base + int(nrec))
 		if i, fault := decodeBlockColumns(c, base, block, int(nrec)); fault != blockOK {
 			return fail(fmt.Errorf("%w: %v at block record %d", ErrSpillMismatch, fault, i))

@@ -29,6 +29,12 @@
 // statistics (trace.AnalyzeColumns, shared by the characterization
 // figures) and its simulation tape (sim.NewTapeColumns, shared by every
 // predictor pass; see internal/sim).
+//
+// A spill directory also holds one conditional-count index
+// (CondIndexFile): each trace's shared conditional-side misprediction
+// count per conditional configuration, under a code salt. Tapes consult
+// it before simulating a conditional side, so a warm start skips that
+// simulation; Close writes the counts a run computed (see CondCount).
 package tracecache
 
 import (
@@ -106,11 +112,30 @@ type Stats struct {
 	Evictions int64
 	// LiveBytes approximates the bytes held by live entries.
 	LiveBytes int64
+
+	// CondSims counts conditional-side simulations run by the tapes of
+	// this cache's entries (one per trace and conditional configuration
+	// not served from the count index).
+	CondSims int64
+	// CondLoads counts conditional-side counts served from the spill
+	// directory's count index instead of being simulated.
+	CondLoads int64
+	// CondMisses counts index lookups that found no servable count, so
+	// the tape simulated the conditional side.
+	CondMisses int64
+	// CondRejects counts persisted counts the index refused: a damaged
+	// index file (once per file) and counts under a stale code salt. Each
+	// one leads to a recomputation and is never a spill error.
+	CondRejects int64
+	// CondWrites counts the new counts Close wrote to the index.
+	CondWrites int64
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("%d builds, %d hits, %d misses, %d spill loads (%d preload), %d spill errors, %d evictions, %.1f MB live",
-		s.Builds, s.Hits, s.Misses, s.SpillLoads, s.PreloadHits, s.SpillErrors, s.Evictions, float64(s.LiveBytes)/(1<<20))
+	return fmt.Sprintf("%d builds, %d hits, %d misses, %d spill loads (%d preload), %d spill errors, %d evictions, %.1f MB live; "+
+		"cond counts: %d simulated, %d loaded, %d missed, %d rejected, %d written",
+		s.Builds, s.Hits, s.Misses, s.SpillLoads, s.PreloadHits, s.SpillErrors, s.Evictions, float64(s.LiveBytes)/(1<<20),
+		s.CondSims, s.CondLoads, s.CondMisses, s.CondRejects, s.CondWrites)
 }
 
 // Cache is a process-wide trace cache. The zero value is not usable; use
@@ -134,6 +159,15 @@ type Cache struct {
 	spillErrs   atomic.Int64
 	evictions   atomic.Int64
 
+	// conds is the spill directory's conditional-count index (nil without
+	// a spill directory); its counters follow.
+	conds       *condIndex
+	condSims    atomic.Int64
+	condLoads   atomic.Int64
+	condMisses  atomic.Int64
+	condRejects atomic.Int64
+	condWrites  atomic.Int64
+
 	logSpillErr sync.Once
 }
 
@@ -155,6 +189,7 @@ func New(cfg Config) *Cache {
 			c.cfg.SpillDir = ""
 		} else {
 			c.Preload(cfg.SpillDir)
+			c.conds = &condIndex{path: filepath.Join(cfg.SpillDir, CondIndexFile), pending: map[condRef]condValue{}}
 		}
 	}
 	return c
@@ -166,11 +201,14 @@ func New(cfg Config) *Cache {
 // reference.
 type Entry struct {
 	id    workload.Identity
+	cache *Cache
 	once  sync.Once
 	build func() // bound at creation; every Get runs it through once
 	cols  *trace.Columns
 	bytes int64
 	elem  *list.Element // LRU position, nil once evicted; under Cache.mu
+	// fromSpill marks a trace decoded from a spill file (set by build).
+	fromSpill bool
 
 	trOnce sync.Once
 	tr     *trace.Trace
@@ -200,9 +238,17 @@ func (e *Entry) Stats() *trace.Stats {
 	return e.stats
 }
 
-// Tape returns the trace's simulation tape, building it on first use.
+// Tape returns the trace's simulation tape, building it on first use. The
+// tape consults the cache's conditional-count index (see CondCount) before
+// it simulates a conditional side, and records what it simulates; nothing
+// is computed here.
 func (e *Entry) Tape() (*sim.Tape, error) {
-	e.tapeOnce.Do(func() { e.tape, e.tapeErr = sim.NewTapeColumns(e.cols) })
+	e.tapeOnce.Do(func() {
+		e.tape, e.tapeErr = sim.NewTapeColumns(e.cols)
+		if e.tapeErr == nil {
+			e.tape.SetCondStore(entryConds{c: e.cache, id: e.id, fromSpill: e.fromSpill})
+		}
+	})
 	return e.tape, e.tapeErr
 }
 
@@ -272,7 +318,7 @@ func (c *Cache) Get(spec workload.Spec) *Entry {
 		e.once.Do(e.build) // coalesce onto an in-flight build
 		return e
 	}
-	e = &Entry{id: id}
+	e = &Entry{id: id, cache: c}
 	spillPath := c.spilled[id]
 	fromPreload := c.preloaded[id]
 	e.build = func() {
@@ -283,6 +329,7 @@ func (c *Cache) Get(spec workload.Spec) *Entry {
 					c.preloadHits.Add(1)
 				}
 				e.cols = cols
+				e.fromSpill = true
 			} else {
 				// Wrong-identity, corrupt, or unreadable file: drop it from
 				// the index (and disk) and rebuild from the generator.
@@ -463,15 +510,22 @@ func (c *Cache) Stats() Stats {
 		SpillErrors: c.spillErrs.Load(),
 		Evictions:   c.evictions.Load(),
 		LiveBytes:   live,
+		CondSims:    c.condSims.Load(),
+		CondLoads:   c.condLoads.Load(),
+		CondMisses:  c.condMisses.Load(),
+		CondRejects: c.condRejects.Load(),
+		CondWrites:  c.condWrites.Load(),
 	}
 }
 
 // Close drops every entry. Without KeepSpill it removes the cache's spill
-// files, written and preloaded alike (the pre-persistence behavior). With
-// KeepSpill it instead flushes every live built entry to the spill
-// directory so a later process can Preload the complete working set,
-// retains all valid spill files, and prunes stale-format files and
-// orphaned temp files. Close must not race concurrent Gets.
+// files, written and preloaded alike (the pre-persistence behavior), and
+// the directory's conditional-count index. With KeepSpill it instead
+// flushes every live built entry to the spill directory so a later process
+// can Preload the complete working set, writes the conditional-side counts
+// this process simulated into the count index, retains all valid spill
+// files, and prunes stale-format files and orphaned temp files. Close must
+// not race concurrent Gets.
 func (c *Cache) Close() {
 	if c.cfg.KeepSpill && c.cfg.SpillDir != "" {
 		c.mu.Lock()
@@ -493,6 +547,7 @@ func (c *Cache) Close() {
 			os.Remove(path)
 		}
 		c.spill(flush)
+		c.flushConds()
 		if tmps, err := filepath.Glob(filepath.Join(c.cfg.SpillDir, tempPattern)); err == nil {
 			for _, tmp := range tmps {
 				os.Remove(tmp)
@@ -505,6 +560,10 @@ func (c *Cache) Close() {
 		for id, path := range c.spilled {
 			os.Remove(path)
 			delete(c.spilled, id)
+		}
+		if c.conds != nil {
+			// The index describes the files just removed.
+			os.Remove(c.conds.path)
 		}
 	}
 	c.entries = make(map[workload.Identity]*Entry)

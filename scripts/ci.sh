@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: lint (vet + blbplint), suppression/exceptions audit, autofix
 # smoke, build, race-enabled tests, fuzz smoke, batch-engine smoke,
-# snapshot, trace-file, warm-start, run-plan, and workload-spec round-trip
-# smokes, and a strict gofmt -s check. Run from the repository root (or
+# snapshot, trace-file, warm-start, reuse-layer, run-plan, and
+# workload-spec round-trip smokes, and a strict gofmt -s check. Run from the repository root (or
 # `make ci`).
 set -eux
 
@@ -103,6 +103,25 @@ go run ./cmd/experiments -base 4000 -csv "$warm" \
 grep -q "trace cache: 0 builds" "$warm/stats.txt"
 diff "$cold/overall.csv" "$warm/overall.csv"
 rm -rf "$spill" "$cold" "$warm"
+# Reuse-layer gate: fig10+fig11 cold, then warm against the kept spill
+# directory. The CSVs must match byte for byte; both runs must serve
+# fig11's assoc-64 and ITTAGE (88 workloads x 2) from the result memo; the
+# warm run must simulate no conditional side, every count coming from the
+# directory's count index; and a test recomputes every persisted count
+# from scratch and fails on any mismatch.
+rspill=$(mktemp -d); rcold=$(mktemp -d); rwarm=$(mktemp -d); rstats=$(mktemp -d)
+go run ./cmd/experiments -base 4000 -csv "$rcold" -cachespill "$rspill" \
+	-cachekeep -cachestats fig10 fig11 >/dev/null 2>"$rstats/cold.txt"
+go run ./cmd/experiments -base 4000 -csv "$rwarm" -cachespill "$rspill" \
+	-cachekeep -cachestats fig10 fig11 >/dev/null 2>"$rstats/warm.txt"
+diff -r "$rcold" "$rwarm"
+grep -q "result memo: 176 hits" "$rstats/cold.txt"
+grep -q "result memo: 176 hits" "$rstats/warm.txt"
+grep -q "trace cache: 0 builds" "$rstats/warm.txt"
+grep -q "cond counts: 0 simulated, 88 loaded" "$rstats/warm.txt"
+BLBP_CONDCOUNTS_DIR="$rspill" go test -count 1 -run TestPersistedCondCountsRecompute \
+	./internal/runspec/
+rm -rf "$rspill" "$rcold" "$rwarm" "$rstats"
 # Run-plan round trip: every built-in must dump as valid JSON, and a dumped
 # plan re-run via -plan must regenerate the compiled-in CSV byte for byte.
 plans=$(mktemp -d)
